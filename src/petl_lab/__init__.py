@@ -15,12 +15,11 @@ from .errors import (ConfigError, GeometryError, NonFiniteError, PETLLabError,
                      ShapeError, StaleGraphError)
 from .harness import (OptimizerConfig, SyntheticVideoDataset, TrainHistory,
                       cross_entropy, evaluate, grad_check, make_dataset, train)
-from .petl import (PETLSpec, attach_petl, build_swin_bapat, forward_model,
-                   swin_bapat_spec)
+from .petl import PETLSpec, attach_petl, build_swin_bapat, swin_bapat_spec
 from .registry import (Parameter, ParameterRegistry, backbone_parameter_plan,
-                       closed_form_backbone_count, count_full_swin_b,
-                       count_params, freeze_backbone, head_count, millions,
-                       petl_parameter_plan, positional_count_report)
+                       count_full_swin_b, count_params, freeze_backbone,
+                       head_count, millions, petl_parameter_plan,
+                       positional_count_report)
 from .tensor import Tensor, no_grad
 
 __version__ = "0.1.0"
@@ -34,9 +33,9 @@ __all__ = [
     "ShapeError", "StaleGraphError",
     "OptimizerConfig", "SyntheticVideoDataset", "TrainHistory", "cross_entropy",
     "evaluate", "grad_check", "make_dataset", "train",
-    "PETLSpec", "attach_petl", "build_swin_bapat", "forward_model", "swin_bapat_spec",
+    "PETLSpec", "attach_petl", "build_swin_bapat", "swin_bapat_spec",
     "Parameter", "ParameterRegistry", "backbone_parameter_plan",
-    "closed_form_backbone_count", "count_full_swin_b", "count_params",
+    "count_full_swin_b", "count_params",
     "freeze_backbone", "head_count", "millions", "petl_parameter_plan",
     "positional_count_report",
     "Tensor", "no_grad",

@@ -20,14 +20,13 @@ Fine-tuning modules plug in through a per-block hooks object (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GeometryError, ShapeError
-from .registry import ParameterRegistry
+from .registry import ParameterRegistry, allocate, backbone_parameter_plan
 from .tensor import Tensor
 
 
@@ -117,12 +116,6 @@ SWIN_B = ModelConfig(
 )
 
 
-def bias_table_entries(window: tuple[int, int, int]) -> int:
-    """Number of distinct relative offsets inside one window."""
-    p, m1, m2 = window
-    return (2 * p - 1) * (2 * m1 - 1) * (2 * m2 - 1)
-
-
 def window_grid_counts(grid: tuple[int, int, int], window: tuple[int, int, int],
                        shifted: bool) -> tuple[int, int, int]:
     """Windows along each axis; shifted grids gain the half-window boundary row."""
@@ -182,9 +175,6 @@ class WindowLayout:
     def window_count(self) -> int:
         return len(self.windows)
 
-    def sizes(self) -> list[int]:
-        return [len(w) for w in self.windows]
-
 
 def window_partition(grid: tuple[int, int, int], window: tuple[int, int, int],
                      shifted: bool) -> WindowLayout:
@@ -205,7 +195,7 @@ class AttentionWeights:
     b_v: Tensor
     w_o: Tensor
     b_o: Tensor
-    bias_table: Tensor  # (bias_table_entries(window), n_heads)
+    bias_table: Tensor  # (distinct relative offsets in a window, n_heads)
 
 
 @dataclass
@@ -452,85 +442,49 @@ class VideoSwinModel:
         return T.reshape(logits, (cfg.num_classes,))
 
     def zero_grads(self) -> None:
-        for p in self.registry.parameters():
+        for p in self.registry:
             p.tensor.zero_grad()
 
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> VideoSwinModel:
-    """Allocate and initialize a backbone (weights ~ N(0, 0.02), zero biases)."""
+    """Allocate and initialize a backbone from :func:`backbone_parameter_plan`."""
     cfg.validate()
-    rng = np.random.default_rng(seed)
     reg = ParameterRegistry()
+    allocate(reg, backbone_parameter_plan(cfg), np.random.default_rng(seed))
 
-    def param(path: str, shape: tuple[int, ...], init: str) -> Tensor:
-        if init == "normal":
-            data = rng.normal(0.0, 0.02, size=shape)
-        elif init == "zeros":
-            data = np.zeros(shape)
-        elif init == "ones":
-            data = np.ones(shape)
-        else:
-            raise ValueError(init)
-        t = Tensor(data, requires_grad=True)
-        reg.register(path, t)
-        return t
+    def w(path: str) -> Tensor:
+        return reg.get(path).tensor
 
-    d0 = cfg.embed_dims[0]
-    embed_w = param("patch_embed.proj.weight", (cfg.patch_volume, d0), "normal")
-    embed_b = param("patch_embed.proj.bias", (d0,), "zeros")
-    embed_ng = param("patch_embed.norm.gamma", (d0,), "ones")
-    embed_nb = param("patch_embed.norm.beta", (d0,), "zeros")
-
-    n_bias = bias_table_entries(cfg.window_size)
     stages: list[StageParams] = []
     for i in range(cfg.num_stages):
-        d = cfg.embed_dims[i]
-        heads = cfg.heads_per_stage[i]
-        d_hidden = cfg.ffn_ratio * d
         blocks = []
         for j in range(cfg.blocks_per_stage[i]):
-            base = f"stages.{i}.blocks.{j}"
+            b = f"stages.{i}.blocks.{j}."
             attn = AttentionWeights(
-                n_heads=heads,
-                w_q=param(f"{base}.attn.q.weight", (d, d), "normal"),
-                b_q=param(f"{base}.attn.q.bias", (d,), "zeros"),
-                w_k=param(f"{base}.attn.k.weight", (d, d), "normal"),
-                b_k=param(f"{base}.attn.k.bias", (d,), "zeros"),
-                w_v=param(f"{base}.attn.v.weight", (d, d), "normal"),
-                b_v=param(f"{base}.attn.v.bias", (d,), "zeros"),
-                w_o=param(f"{base}.attn.proj.weight", (d, d), "normal"),
-                b_o=param(f"{base}.attn.proj.bias", (d,), "zeros"),
-                bias_table=param(f"{base}.attn.bias_table", (n_bias, heads), "normal"),
+                n_heads=cfg.heads_per_stage[i],
+                w_q=w(b + "attn.q.weight"), b_q=w(b + "attn.q.bias"),
+                w_k=w(b + "attn.k.weight"), b_k=w(b + "attn.k.bias"),
+                w_v=w(b + "attn.v.weight"), b_v=w(b + "attn.v.bias"),
+                w_o=w(b + "attn.proj.weight"), b_o=w(b + "attn.proj.bias"),
+                bias_table=w(b + "attn.bias_table"),
             )
             blocks.append(BlockParams(
-                norm1_gamma=param(f"{base}.norm1.gamma", (d,), "ones"),
-                norm1_beta=param(f"{base}.norm1.beta", (d,), "zeros"),
+                norm1_gamma=w(b + "norm1.gamma"), norm1_beta=w(b + "norm1.beta"),
                 attn=attn,
-                norm2_gamma=param(f"{base}.norm2.gamma", (d,), "ones"),
-                norm2_beta=param(f"{base}.norm2.beta", (d,), "zeros"),
-                fc1_w=param(f"{base}.ffn.fc1.weight", (d, d_hidden), "normal"),
-                fc1_b=param(f"{base}.ffn.fc1.bias", (d_hidden,), "zeros"),
-                fc2_w=param(f"{base}.ffn.fc2.weight", (d_hidden, d), "normal"),
-                fc2_b=param(f"{base}.ffn.fc2.bias", (d,), "zeros"),
+                norm2_gamma=w(b + "norm2.gamma"), norm2_beta=w(b + "norm2.beta"),
+                fc1_w=w(b + "ffn.fc1.weight"), fc1_b=w(b + "ffn.fc1.bias"),
+                fc2_w=w(b + "ffn.fc2.weight"), fc2_b=w(b + "ffn.fc2.bias"),
                 shifted=bool(j % 2),
                 eps=cfg.layer_norm_eps,
             ))
         downsample = None
         if i < cfg.num_stages - 1:
-            d_next = cfg.embed_dims[i + 1]
-            downsample = DownsampleParams(
-                norm_gamma=param(f"stages.{i}.downsample.norm.gamma", (4 * d,), "ones"),
-                norm_beta=param(f"stages.{i}.downsample.norm.beta", (4 * d,), "zeros"),
-                reduction=param(f"stages.{i}.downsample.reduction.weight",
-                                (4 * d, d_next), "normal"),
-            )
+            ds = f"stages.{i}.downsample."
+            downsample = DownsampleParams(norm_gamma=w(ds + "norm.gamma"),
+                                          norm_beta=w(ds + "norm.beta"),
+                                          reduction=w(ds + "reduction.weight"))
         stages.append(StageParams(blocks=blocks, downsample=downsample))
 
-    d_last = cfg.embed_dims[-1]
-    norm_g = param("norm.gamma", (d_last,), "ones")
-    norm_b = param("norm.beta", (d_last,), "zeros")
-    head_w = param("head.weight", (d_last, cfg.num_classes), "normal")
-    head_b = param("head.bias", (cfg.num_classes,), "zeros")
-
-    return VideoSwinModel(cfg, reg, embed_w, embed_b, embed_ng, embed_nb,
-                          stages, norm_g, norm_b, head_w, head_b)
+    return VideoSwinModel(cfg, reg, w("patch_embed.proj.weight"), w("patch_embed.proj.bias"),
+                          w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"), stages,
+                          w("norm.gamma"), w("norm.beta"), w("head.weight"), w("head.bias"))

@@ -10,7 +10,7 @@ Single-file layout:
   floats in C (row-major) order, in manifest order.
 
 Loading restores the exact bytes, so a reloaded model reproduces forward
-passes bit for bit.
+passes bit for bit, and restores each weight's freeze state.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def save_checkpoint(model, path: str) -> None:
             fh.write(raw)
 
 
-def read_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint into a path -> float64 array mapping."""
+def _read_entries(path: str) -> list[tuple[dict, np.ndarray]]:
+    """Each manifest entry with its float64 array, in manifest order."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
@@ -62,7 +62,7 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
         raise ConfigError(f"{path} is not a {_FORMAT} file")
     if manifest.get("version") != _VERSION:
         raise ConfigError(f"unsupported checkpoint version {manifest.get('version')}")
-    out: dict[str, np.ndarray] = {}
+    out = []
     for entry in manifest["entries"]:
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
@@ -70,23 +70,29 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
         stop = start + n * _DTYPE.itemsize
         if stop > len(payload):
             raise ConfigError(f"checkpoint {path} truncated at '{entry['path']}'")
-        out[entry["path"]] = np.frombuffer(
-            payload[start:stop], dtype=_DTYPE).reshape(shape).astype(np.float64)
+        out.append((entry, np.frombuffer(
+            payload[start:stop], dtype=_DTYPE).reshape(shape).astype(np.float64)))
     return out
 
 
+def read_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """Read a checkpoint into a path -> float64 array mapping."""
+    return {entry["path"]: data for entry, data in _read_entries(path)}
+
+
 def load_checkpoint(model, path: str) -> None:
-    """Restore ``model``'s parameters in place; paths and shapes must match."""
-    weights = read_checkpoint(path)
-    params = {p.path: p for p in model.registry}
-    missing = sorted(set(params) - set(weights))
-    extra = sorted(set(weights) - set(params))
+    """Restore ``model``'s weights and freeze state in place; paths and shapes must match."""
+    entries = {entry["path"]: (entry, data) for entry, data in _read_entries(path)}
+    params = {p.path for p in model.registry}
+    missing = sorted(params - set(entries))
+    extra = sorted(set(entries) - params)
     if missing or extra:
         raise ConfigError(
             f"checkpoint/model parameter mismatch: missing={missing[:5]} extra={extra[:5]}")
     for p in model.registry:
-        data = weights[p.path]
+        entry, data = entries[p.path]
         if data.shape != p.shape:
             raise ConfigError(
                 f"shape mismatch for '{p.path}': checkpoint {data.shape} vs model {p.shape}")
         p.tensor.data[...] = data
+        p.tensor.requires_grad = not entry.get("frozen", p.frozen)

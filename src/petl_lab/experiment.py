@@ -31,9 +31,9 @@ from .backbone import SWIN_B, SWIN_MICRO, ModelConfig, build_model
 from .errors import ConfigError
 from .harness import OptimizerConfig, grad_check, make_dataset, train
 from .petl import PETLSpec, attach_petl
-from .registry import (backbone_parameter_plan, closed_form_backbone_count,
-                       count_params, freeze_backbone, head_count, millions,
-                       petl_parameter_plan, plan_total, positional_count_report)
+from .registry import (backbone_parameter_plan, count_params, freeze_backbone,
+                       head_count, millions, petl_parameter_plan, plan_total,
+                       positional_count_report, positional_report_csv)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "PETL_LAB_OUT"
@@ -427,14 +427,9 @@ def emit_counts(cfg: ExperimentConfig, out_dir: str | None = None,
                      SWIN_B.embed_dims, SWIN_B.blocks_per_stage,
                      SWIN_B.heads_per_stage, SWIN_B.window_size)
 
+    positional_report_csv(cfg.model, out / "counts_positions.csv")
     positions = positional_count_report(cfg.model)
-    with open(out / "counts_positions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["position", "count_exact", "count_millions"])
-        for row in positions:
-            writer.writerow([row.position, row.count_exact, f"{row.count_millions:.2f}"])
-
-    total = closed_form_backbone_count(cfg.model)
+    total = plan_total(backbone_parameter_plan(cfg.model))
     head = head_count(cfg.model.embed_dims[-1], cfg.model.num_classes)
     petl_rows = []
     for i, (db, s, sites, frames) in enumerate(cfg.ablation.combos()):

@@ -46,10 +46,6 @@ class SyntheticVideoDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def clip_shape(self) -> tuple[int, ...]:
-        return self.clips.shape[1:]
-
 
 def make_dataset(n_classes: int, per_class: int,
                  clip_shape: tuple[int, int, int] = (8, 32, 32),
@@ -187,16 +183,6 @@ class TrainHistory:
             for step, loss in enumerate(self.losses, start=1):
                 fh.write(f"{step},{loss!r}\n")
 
-    def summary(self) -> dict:
-        return {
-            "steps": len(self.losses),
-            "final_loss": self.losses[-1] if self.losses else None,
-            "final_train_top1": self.final_train_top1,
-            "final_eval_top1": self.final_eval_top1,
-            "trainable_count": self.trainable_count,
-            "wall_seconds": self.wall_seconds,
-        }
-
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
     """Softmax cross-entropy of one clip's logits against its class index."""
@@ -225,7 +211,7 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
     so reruns reproduce the history exactly.
     """
     opt.validate()
-    trainable = [p for p in model.registry if p.tensor.requires_grad]
+    trainable = model.registry.trainable()
     if not trainable:
         raise ConfigError("model has no trainable parameters")
     optimizer = make_optimizer(opt)
@@ -281,7 +267,7 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
     """
     clips = np.asarray(clips, dtype=np.float64)
     labels = np.asarray(labels)
-    trainable = [p for p in model.registry if p.tensor.requires_grad]
+    trainable = model.registry.trainable()
     if not trainable:
         raise ConfigError("gradient check needs at least one trainable parameter")
     n_params = sum(p.count for p in trainable)

@@ -17,14 +17,15 @@ Zero-neutrality: ``d_token=0`` / ``d_prompt=0`` attach nothing, zero up
 projections and ``s=0`` contribute exact-zero additions, so the modified
 forward reproduces the frozen backbone bit for bit.
 
-Adapter and PATT up-projections start at zero, so a freshly attached model
-computes the identical function to the frozen backbone and fine-tuning starts
-from the pre-trained behavior instead of from injected noise.
+Adapter and PATT up-projections start at zero (see
+:func:`petl_lab.registry.allocate`), so a freshly attached model computes the
+identical function to the frozen backbone and fine-tuning starts from the
+pre-trained behavior instead of from injected noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from . import tensor as T
 from .backbone import (AttentionExtras, AttentionWeights, ModelConfig,
                        VideoSwinModel, build_model)
 from .errors import ConfigError
+from .registry import allocate, petl_parameter_plan
 from .tensor import Tensor
 
 MECHANISMS = ("prefix", "adapter_parallel", "adapter_sequential", "prompt", "patt")
@@ -248,57 +250,37 @@ class BlockHooks:
 
 
 def attach_petl(model: VideoSwinModel, spec: PETLSpec, seed: int = 1) -> VideoSwinModel:
-    """Allocate the spec's inserts on a built backbone and wire up the hooks.
+    """Allocate the spec's inserts from :func:`petl_parameter_plan` and wire up the hooks.
 
     Uses its own RNG stream, so the backbone weights for a given backbone
     seed are unchanged by attaching. Returns the same model instance.
     """
     cfg = model.cfg
     spec.validate(cfg)
-    rng = np.random.default_rng(seed)
     reg = model.registry
-    mechanisms = set(spec.mechanisms)
+    allocate(reg, petl_parameter_plan(cfg, spec), np.random.default_rng(seed))
+    placement = "parallel" if "adapter_parallel" in spec.mechanisms else "sequential"
     mask = spec.attach_mask(cfg)
-    d_mid = spec.resolved_d_middle
-
-    def param(path: str, shape: tuple[int, ...], init: str) -> Tensor:
-        data = rng.normal(0.0, 0.02, size=shape) if init == "normal" else np.zeros(shape)
-        t = Tensor(data, requires_grad=True)
-        reg.register(path, t)
-        return t
-
     for i in range(cfg.num_stages):
         if not mask[i]:
             continue
-        d = cfg.embed_dims[i]
         for j in range(cfg.blocks_per_stage[i]):
-            base = f"stages.{i}.blocks.{j}.petl"
+            base = f"stages.{i}.blocks.{j}.petl."
+            w = {p.path[len(base):]: p.tensor for p in reg if p.path.startswith(base)}
             petl = BlockPETL()
-            if "adapter_parallel" in mechanisms or "adapter_sequential" in mechanisms:
-                placement = "parallel" if "adapter_parallel" in mechanisms else "sequential"
+            if "adapter.down.weight" in w:
                 petl.adapter = AdapterWeights(
-                    w_down=param(f"{base}.adapter.down.weight", (d, spec.d_bottle), "normal"),
-                    b_down=param(f"{base}.adapter.down.bias", (spec.d_bottle,), "zeros"),
-                    w_up=param(f"{base}.adapter.up.weight", (spec.d_bottle, d), "zeros"),
-                    b_up=param(f"{base}.adapter.up.bias", (d,), "zeros"),
-                    s=spec.s_adapter,
-                    placement=placement,
-                )
-            if "patt" in mechanisms:
-                w_down = param(f"{base}.patt.down.weight", (d, spec.d_bottle), "normal")
-                ups = {site: param(f"{base}.patt.up_{site.lower()}.weight",
-                                   (spec.d_bottle, d), "zeros")
+                    w_down=w["adapter.down.weight"], b_down=w["adapter.down.bias"],
+                    w_up=w["adapter.up.weight"], b_up=w["adapter.up.bias"],
+                    s=spec.s_adapter, placement=placement)
+            if "patt.down.weight" in w:
+                ups = {site: w[f"patt.up_{site.lower()}.weight"]
                        for site in PATT_SITES if site in spec.patt_sites}
-                petl.patt = PattWeights(w_down=w_down, w_up=ups, s=spec.s_patt)
-            if "prefix" in mechanisms and spec.d_token > 0:
-                petl.prefix = PrefixBank(
-                    p_k=param(f"{base}.prefix.p_k", (spec.d_token, d), "normal"),
-                    p_v=param(f"{base}.prefix.p_v", (spec.d_token, d), "normal"),
-                    w_pk=param(f"{base}.prefix.w_pk", (d, d_mid), "normal"),
-                    w_pv=param(f"{base}.prefix.w_pv", (d_mid, d), "normal"),
-                )
-            if "prompt" in mechanisms and spec.d_prompt > 0:
-                petl.prompt = param(f"{base}.prompt.tokens", (spec.d_prompt, d), "normal")
+                petl.patt = PattWeights(w_down=w["patt.down.weight"], w_up=ups, s=spec.s_patt)
+            if "prefix.p_k" in w:
+                petl.prefix = PrefixBank(p_k=w["prefix.p_k"], p_v=w["prefix.p_v"],
+                                         w_pk=w["prefix.w_pk"], w_pv=w["prefix.w_pv"])
+            petl.prompt = w.get("prompt.tokens")
             model.hooks[i][j] = BlockHooks(petl, model.stages[i].blocks[j].attn)
     model.petl_spec = spec
     return model
@@ -336,11 +318,3 @@ def build_swin_bapat(cfg: ModelConfig, spec: PETLSpec | None = None, *,
     model = build_model(cfg, seed=seed)
     return attach_petl(model, spec, seed=seed + 1)
 
-
-def forward_model(video: np.ndarray, cfg: ModelConfig,
-                  petl_spec: PETLSpec | None = None, seed: int = 0) -> Tensor:
-    """Build a model (optionally with inserts) and run one clip through it."""
-    model = build_model(cfg, seed=seed)
-    if petl_spec is not None:
-        attach_petl(model, petl_spec, seed=seed + 1)
-    return model.forward(video)

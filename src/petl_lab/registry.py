@@ -3,13 +3,15 @@
 Counts are kept as exact integers; rounding to millions (two decimals)
 happens only when rendering reports.
 
+The shape plans (:func:`backbone_parameter_plan` and
+:func:`petl_parameter_plan`) are the one place that knows every weight's
+path and shape: :func:`allocate` builds models from them, and the public
+counts are plan totals, usable at full Swin-B scale without allocating.
 Three independent routes produce counts and are cross-checked in tests:
 
 1. enumeration over the tensors of a built model (:class:`ParameterRegistry`);
-2. a pure shape plan (:func:`backbone_parameter_plan` and
-   :func:`petl_parameter_plan`) that never allocates data, usable at full
-   Swin-B scale;
-3. closed-form arithmetic (:func:`closed_form_backbone_count`).
+2. the plans themselves (:func:`plan_total`);
+3. closed-form arithmetic, kept in the test suite's reference implementation.
 
 The per-position report follows the convention that every position row also
 counts the stage-transition downsampling parameters, and rows inside the
@@ -19,7 +21,7 @@ parameters train alongside any attention-internal site).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -34,7 +36,11 @@ class Parameter:
 
     path: str
     tensor: Tensor
-    frozen: bool = False
+
+    @property
+    def frozen(self) -> bool:
+        """A frozen weight is one whose tensor does not track gradients."""
+        return not self.tensor.requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,9 +65,6 @@ class ParameterRegistry:
         p = Parameter(path, tensor)
         self._params[path] = p
         return p
-
-    def parameters(self) -> list[Parameter]:
-        return list(self._params.values())
 
     def get(self, path: str) -> Parameter:
         return self._params[path]
@@ -108,18 +111,17 @@ def _is_petl_path(path: str) -> bool:
 def freeze_backbone(model, spec) -> None:
     """Freeze every backbone weight; fine-tuning inserts stay trainable.
 
-    The classification head follows ``spec.tune_head``. Freezing both clears
-    the registry flag and disables gradient tracking on the tensor, so frozen
-    weights never enter the autodiff graph.
+    The classification head follows ``spec.tune_head``. Freezing disables
+    gradient tracking on the tensor, so frozen weights never enter the
+    autodiff graph.
     """
     tune_head = bool(spec.tune_head) if spec is not None else False
     for p in model.registry:
-        trainable = _is_petl_path(p.path) or (tune_head and p.path.startswith("head."))
-        p.frozen = not trainable
-        p.tensor.requires_grad = trainable
+        p.tensor.requires_grad = (_is_petl_path(p.path)
+                                  or (tune_head and p.path.startswith("head.")))
 
 
-# -- shape plans (no allocation) --------------------------------------------
+# -- shape plans and allocation ----------------------------------------------
 
 
 def _prod(shape: Iterable[int]) -> int:
@@ -214,35 +216,26 @@ def plan_total(plan: Iterable[tuple[str, tuple[int, ...]]],
     return sum(_prod(shape) for path, shape in plan if predicate is None or predicate(path))
 
 
-# -- closed forms -------------------------------------------------------------
+def allocate(registry: ParameterRegistry, plan: Iterable[tuple[str, tuple[int, ...]]],
+             rng: np.random.Generator) -> None:
+    """Register a gradient-tracking tensor for every plan entry, in plan order.
 
-
-def closed_form_backbone_count(cfg) -> int:
-    """Backbone + head parameter count by arithmetic alone (no allocation)."""
-    p, m1, m2 = cfg.window_size
-    n_bias = (2 * p - 1) * (2 * m1 - 1) * (2 * m2 - 1)
-    d0 = cfg.embed_dims[0]
-    total = cfg.patch_volume * d0 + d0  # patch projection
-    total += 2 * d0                     # embedding norm
-    for i in range(cfg.num_stages):
-        d = cfg.embed_dims[i]
-        heads = cfg.heads_per_stage[i]
-        d_hidden = cfg.ffn_ratio * d
-        per_block = (
-            3 * (d * d + d)        # q, k, v projections with bias
-            + d * d + d            # output projection
-            + n_bias * heads       # relative-position bias table
-            + 4 * d                # two layer norms
-            + d * d_hidden + d_hidden  # fc1
-            + d_hidden * d + d     # fc2
-        )
-        total += cfg.blocks_per_stage[i] * per_block
-        if i < cfg.num_stages - 1:
-            total += 8 * d + 4 * d * cfg.embed_dims[i + 1]  # merge norm + reduction
-    d_last = cfg.embed_dims[-1]
-    total += 2 * d_last                          # final norm
-    total += d_last * cfg.num_classes + cfg.num_classes  # head
-    return total
+    Init rule, keyed by path: ``.gamma`` gets ones; ``.bias``, ``.beta`` and
+    the insert up-projections (``adapter.up.*``, ``patt.up_*``) get zeros
+    without drawing from ``rng``; everything else is drawn from N(0, 0.02).
+    Zero up-projections make a freshly attached insert contribute exactly
+    nothing. Since plan order is registration order, a seed fixes every
+    weight bit for bit.
+    """
+    for path, shape in plan:
+        if path.endswith(".gamma"):
+            data = np.ones(shape)
+        elif (path.endswith((".bias", ".beta")) or ".adapter.up." in path
+              or ".patt.up_" in path):
+            data = np.zeros(shape)
+        else:
+            data = rng.normal(0.0, 0.02, size=shape)
+        registry.register(path, Tensor(data, requires_grad=True))
 
 
 def head_count(d_last: int, num_classes: int) -> int:
@@ -251,11 +244,9 @@ def head_count(d_last: int, num_classes: int) -> int:
 
 
 def count_full_swin_b(num_classes: int) -> int:
-    """Closed-form full-model count at Swin-B dimensions."""
+    """Full-model count at Swin-B dimensions, from the backbone plan."""
     from .backbone import SWIN_B  # local import: registry stays backbone-free at module load
-    import dataclasses
-    cfg = dataclasses.replace(SWIN_B, num_classes=num_classes)
-    return closed_form_backbone_count(cfg)
+    return plan_total(backbone_parameter_plan(replace(SWIN_B, num_classes=num_classes)))
 
 
 # -- positional report ---------------------------------------------------------

@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, NonFiniteError, ShapeError, StaleGraphError
+from .errors import NonFiniteError, ShapeError, StaleGraphError
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -457,23 +457,3 @@ def gelu(t: Tensor) -> Tensor:
             t._accum_grad(g * (cdf + x * pdf))
 
     return _make_op(data, (t,), backward_fn, "gelu")
-
-
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": relu,
-    "gelu": gelu,
-    "tanh": tanh,
-}
-
-
-def activation(kind: str, t: Tensor) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown activation '{kind}'; expected one of {sorted(_ACTIVATIONS)}") from None
-    return fn(t)
-
-
-def zeros(shape: Iterable[int], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(tuple(shape)), requires_grad=requires_grad)

@@ -234,3 +234,31 @@ def ref_forward(model, clip):
     z = ref_layer_norm(z, w("norm.gamma"), w("norm.beta"), cfg.layer_norm_eps)
     pooled = z.mean(axis=0)
     return pooled @ w("head.weight") + w("head.bias")
+
+
+def closed_form_backbone_count(cfg):
+    """Backbone + head parameter count by arithmetic alone (no plan, no allocation)."""
+    p, m1, m2 = cfg.window_size
+    n_bias = (2 * p - 1) * (2 * m1 - 1) * (2 * m2 - 1)
+    d0 = cfg.embed_dims[0]
+    total = cfg.patch_volume * d0 + d0  # patch projection
+    total += 2 * d0                     # embedding norm
+    for i in range(cfg.num_stages):
+        d = cfg.embed_dims[i]
+        heads = cfg.heads_per_stage[i]
+        d_hidden = cfg.ffn_ratio * d
+        per_block = (
+            3 * (d * d + d)        # q, k, v projections with bias
+            + d * d + d            # output projection
+            + n_bias * heads       # relative-position bias table
+            + 4 * d                # two layer norms
+            + d * d_hidden + d_hidden  # fc1
+            + d_hidden * d + d     # fc2
+        )
+        total += cfg.blocks_per_stage[i] * per_block
+        if i < cfg.num_stages - 1:
+            total += 8 * d + 4 * d * cfg.embed_dims[i + 1]  # merge norm + reduction
+    d_last = cfg.embed_dims[-1]
+    total += 2 * d_last                          # final norm
+    total += d_last * cfg.num_classes + cfg.num_classes  # head
+    return total

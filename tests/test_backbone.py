@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from petl_lab import (GeometryError, ModelConfig, ShapeError, Tensor, build_model,
-                      grad_check, load_checkpoint, patch_embed, read_checkpoint,
-                      save_checkpoint, window_partition)
+                      build_swin_bapat, freeze_backbone, grad_check, load_checkpoint,
+                      patch_embed, read_checkpoint, save_checkpoint, window_partition)
 from petl_lab import tensor as T
 from petl_lab.backbone import (SWIN_B, SWIN_MICRO, AttentionWeights, bias_view,
                                swin_block, window_attention, window_grid_counts)
@@ -300,6 +300,20 @@ def test_checkpoint_round_trip_bitwise(tmp_path, rng):
     raw = read_checkpoint(path)
     for p in model.registry:
         assert raw[p.path].tobytes() == p.tensor.data.tobytes()
+
+
+def test_checkpoint_restores_freeze_state(tmp_path):
+    model = build_swin_bapat(TINY, d_bottle=2, seed=8)
+    freeze_backbone(model, model.petl_spec)
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(model, path)
+
+    fresh = build_swin_bapat(TINY, d_bottle=2, seed=10)
+    assert len(fresh.registry.trainable()) == len(fresh.registry)
+    load_checkpoint(fresh, path)
+    expected = [p.path for p in model.registry.trainable()]
+    assert [p.path for p in fresh.registry.trainable()] == expected
+    assert [p.path for p in fresh.registry if p.tensor.requires_grad] == expected
 
 
 def test_checkpoint_rejects_mismatched_model(tmp_path):

@@ -1,17 +1,20 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+import petl_lab
 from petl_lab import (ConfigError, ParameterRegistry, PETLSpec, Tensor,
                       attach_petl, backbone_parameter_plan, build_model,
-                      closed_form_backbone_count, count_full_swin_b, count_params,
-                      freeze_backbone, head_count, millions, petl_parameter_plan,
-                      positional_count_report, swin_bapat_spec)
+                      count_full_swin_b, count_params, freeze_backbone, head_count,
+                      millions, petl_parameter_plan, positional_count_report,
+                      swin_bapat_spec)
 from petl_lab.backbone import SWIN_B, SWIN_MICRO, ModelConfig
 from petl_lab.registry import plan_total, positional_report_csv
 
 from conftest import TINY
+from reference_impl import closed_form_backbone_count
 
 
 # -- registry basics ------------------------------------------------------------
@@ -75,6 +78,51 @@ def test_tune_head_off_difference_is_exactly_head():
     freeze_backbone(model, dataclasses.replace(spec_on, tune_head=False))
     without_head = count_params(model.registry, "trainable")
     assert with_head - without_head == head_count(TINY.embed_dims[-1], TINY.num_classes)
+
+
+def test_package_star_import_and_all_names():
+    namespace = {}
+    exec("from petl_lab import *", namespace)
+    assert len(petl_lab.__all__) == len(set(petl_lab.__all__))
+    assert [name for name in petl_lab.__all__ if not hasattr(petl_lab, name)] == []
+
+
+# -- allocation from the plans -------------------------------------------------------
+
+ALL_FOUR = PETLSpec(mechanisms=("prefix", "adapter_parallel", "prompt", "patt"),
+                    d_bottle=2, d_token=3, d_prompt=2, d_middle=2,
+                    patt_sites=("Q", "K", "V"))
+SEQUENTIAL_PATT_K = PETLSpec(mechanisms=("adapter_sequential", "patt"), d_bottle=2,
+                             patt_sites=("K",))
+
+# sha256 over (path, little-endian float64 bytes) of every weight, in registry
+# order, for build_model(seed=3) and attach_petl(seed=4). Pinned before
+# allocation moved onto the shape plans; a change means a seed no longer
+# reproduces the same weights.
+WEIGHT_DIGESTS = {
+    ("tiny", "none"): "798c9494142bcca82586fa780cadf8e150c9c809c3cf82dde09e98d368d42353",
+    ("tiny", "all_four"): "9ab38373e59140621fb56e0dc4c9025fbbc7bf6b141773e393f03a7486fecefd",
+    ("tiny", "sequential_patt_k"):
+        "6cb66a965049c18a0c48de9aabcd3d86f7d8cbb7af9685cc846fb8b90f3f0b65",
+    ("micro", "none"): "80d74430a3e9e871ed16d58bdf9ef7bd7998c038b1d0408d4831841ce230a517",
+    ("micro", "all_four"): "8048b1eaf91caf1c9bf8d2675be80faff71c4dcd125b2713b478d4645da5de48",
+    ("micro", "sequential_patt_k"):
+        "f747c317a69b85c52e40a6d56d38ec2f9bbc8d5f31e962928bfb9ce0953ce3a3",
+}
+
+
+@pytest.mark.parametrize("cfg_name,cfg", [("tiny", TINY), ("micro", SWIN_MICRO)])
+@pytest.mark.parametrize("spec_name,spec", [("none", None), ("all_four", ALL_FOUR),
+                                            ("sequential_patt_k", SEQUENTIAL_PATT_K)])
+def test_weights_bitwise_pinned(cfg_name, cfg, spec_name, spec):
+    model = build_model(cfg, seed=3)
+    if spec is not None:
+        attach_petl(model, spec, seed=4)
+    digest = hashlib.sha256()
+    for p in model.registry:
+        digest.update(p.path.encode())
+        digest.update(np.ascontiguousarray(p.tensor.data, dtype="<f8").tobytes())
+    assert digest.hexdigest() == WEIGHT_DIGESTS[(cfg_name, spec_name)]
 
 
 # -- plans vs built models vs closed form ------------------------------------------

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from petl_lab import ConfigError, NonFiniteError, ShapeError, StaleGraphError, Tensor
+from petl_lab import NonFiniteError, ShapeError, StaleGraphError, Tensor
 from petl_lab import tensor as T
 
 
@@ -168,14 +168,14 @@ def test_layer_norm_affine_shape_error():
 
 
 def test_relu_values():
-    out = T.activation("relu", Tensor([-1.0, 2.0]))
+    out = T.relu(Tensor([-1.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 2.0])
 
 
 def test_tanh_values(rng):
-    assert T.activation("tanh", Tensor([0.0])).data[0] == 0.0
+    assert T.tanh(Tensor([0.0])).data[0] == 0.0
     # float64 rounds tanh to exactly +-1 beyond |x| ~ 19; stay below that
-    out = T.activation("tanh", Tensor(np.clip(rng.normal(scale=5, size=100), -15, 15)))
+    out = T.tanh(Tensor(np.clip(rng.normal(scale=5, size=100), -15, 15)))
     assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
     odd = T.tanh(Tensor([-1.3])).data[0] + T.tanh(Tensor([1.3])).data[0]
     assert abs(odd) < 1e-15
@@ -187,11 +187,6 @@ def test_gelu_matches_high_precision_oracle():
         expected = [float(mp.mpf(repr(v)) * mp.ncdf(mp.mpf(repr(v)))) for v in vals]
     out = T.gelu(Tensor(vals))
     np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=1e-16)
-
-
-def test_unknown_activation_rejected():
-    with pytest.raises(ConfigError):
-        T.activation("swish", Tensor([1.0]))
 
 
 # -- backward ----------------------------------------------------------------
