@@ -12,6 +12,9 @@ Shifted windows are realized by re-binning tokens into the offset grid:
 windows keep only the tokens that actually exist, so boundary windows are
 simply smaller and no attention masking is required. The window *count*
 matches the padded-grid convention (``ceil((extent + shift) / window)``).
+Windows with the same token count form a group, and each group runs as one
+batched attention call over a leading window axis, as in Swin and Video
+Swin, without padding.
 
 Fine-tuning modules plug in through a per-block hooks object (see
 :mod:`petl_lab.petl`); the backbone only defines the call surface.
@@ -123,14 +126,27 @@ def window_grid_counts(grid: tuple[int, int, int], window: tuple[int, int, int],
     return tuple(-(-(g + s) // w) for g, s, w in zip(grid, shift, window))
 
 
-class WindowLayout:
-    """Partition of a token grid into attention windows.
+@dataclass(frozen=True)
+class WindowGroup:
+    """All windows of a layout that hold ``n`` tokens, stacked on a leading axis.
 
-    Every token index lands in exactly one window. ``windows[w]`` holds flat
-    token indices in raster order, ``coords[w]`` their (t, h, w) grid
-    coordinates; ``bias_index[w]`` maps each in-window token pair to its row
-    in the relative-position bias table. ``inverse_perm`` undoes the
-    window-major concatenation of per-window outputs.
+    ``tokens`` is (G, n): flat token indices of each window in raster order.
+    ``bias_index`` is (G, n, n): each in-window token pair's row in the
+    relative-position bias table.
+    """
+
+    tokens: np.ndarray
+    bias_index: np.ndarray
+
+
+class WindowLayout:
+    """Partition of a token grid into attention windows, grouped by size.
+
+    Every token index lands in exactly one window. ``groups`` holds one
+    :class:`WindowGroup` per distinct window token count, in ascending count;
+    inside a group, windows keep their raster order over the window grid.
+    ``inverse_perm`` undoes the group-major concatenation of the groups'
+    flattened outputs.
     """
 
     def __init__(self, grid: tuple[int, int, int], window: tuple[int, int, int],
@@ -142,38 +158,27 @@ class WindowLayout:
         self.shifted = bool(shifted)
         self.shift = (window[0] // 2, window[1] // 2, window[2] // 2) if shifted else (0, 0, 0)
 
-        gt, gh, gw = self.grid
-        coords = np.stack(np.meshgrid(
-            np.arange(gt), np.arange(gh), np.arange(gw), indexing="ij"),
-            axis=-1).reshape(-1, 3)
-        bins = (coords + np.array(self.shift)) // np.array(self.window)
+        extent = np.array(self.window)
+        coords = np.stack(np.unravel_index(np.arange(np.prod(self.grid)), self.grid), axis=-1)
+        bins = (coords + np.array(self.shift)) // extent
         counts = window_grid_counts(self.grid, self.window, shifted)
-        key = (bins[:, 0] * counts[1] + bins[:, 1]) * counts[2] + bins[:, 2]
+        key = np.ravel_multi_index(bins.T, counts)
 
         order = np.argsort(key, kind="stable")  # stable: raster order within a window
-        boundaries = np.flatnonzero(np.diff(key[order])) + 1
-        groups = np.split(order, boundaries)
-        if len(groups) != int(np.prod(counts)):
+        windows = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+        if len(windows) != int(np.prod(counts)):
             raise GeometryError("window partition produced an empty window")
+        self.window_count = len(windows)
 
-        self.window_counts = counts
-        self.windows: list[np.ndarray] = [g.astype(np.intp) for g in groups]
-        self.coords: list[np.ndarray] = [coords[g] for g in groups]
-        perm = np.concatenate(self.windows)
+        self.groups: list[WindowGroup] = []
+        for n in sorted({len(w) for w in windows}):
+            tokens = np.stack([w for w in windows if len(w) == n])
+            c = coords[tokens]
+            delta = c[:, :, None, :] - c[:, None, :, :] + extent - 1  # each axis in [0, 2w - 1)
+            bias_index = np.ravel_multi_index(np.moveaxis(delta, -1, 0), 2 * extent - 1)
+            self.groups.append(WindowGroup(tokens, bias_index))
+        perm = np.concatenate([g.tokens.reshape(-1) for g in self.groups])
         self.inverse_perm = np.argsort(perm, kind="stable").astype(np.intp)
-
-        p, m1, m2 = self.window
-        span_h, span_w = 2 * m1 - 1, 2 * m2 - 1
-        self.bias_index: list[np.ndarray] = []
-        for c in self.coords:
-            delta = c[:, None, :] - c[None, :, :]
-            flat = ((delta[..., 0] + p - 1) * span_h + (delta[..., 1] + m1 - 1)) \
-                * span_w + (delta[..., 2] + m2 - 1)
-            self.bias_index.append(flat)
-
-    @property
-    def window_count(self) -> int:
-        return len(self.windows)
 
 
 def window_partition(grid: tuple[int, int, int], window: tuple[int, int, int],
@@ -202,8 +207,9 @@ class AttentionWeights:
 class AttentionExtras:
     """Per-block attention modifications supplied by fine-tuning hooks.
 
-    ``extra_k`` / ``extra_v`` are learnable rows prepended to every window's
-    keys/values (token-dimension concat). ``add_q/k/v`` are full-grid additive
+    ``extra_k`` / ``extra_v`` are learnable (n_extra, d) rows prepended to
+    every window's keys/values (token-dimension concat), shared by all
+    windows of a group. ``add_q/k/v`` are full-grid (tokens, d) additive
     corrections, already scaled, gathered per window alongside the tokens.
     """
 
@@ -214,47 +220,38 @@ class AttentionExtras:
     add_v: Tensor | None = None
 
 
-def bias_view(weights: AttentionWeights, layout: WindowLayout, w: int) -> Tensor:
-    """Resolve the bias table into per-head (n, n) logit offsets for window w."""
-    index = layout.bias_index[w]
-    n = index.shape[0]
-    rows = T.gather_rows(weights.bias_table, index.reshape(-1))
-    return T.transpose(T.reshape(rows, (n, n, weights.n_heads)), (2, 0, 1))
-
-
 def window_attention(x: Tensor, weights: AttentionWeights,
                      bias: Tensor | None = None,
-                     mask: np.ndarray | None = None,
                      extra_k: Tensor | None = None,
                      extra_v: Tensor | None = None,
                      add_q: Tensor | None = None,
                      add_k: Tensor | None = None,
                      add_v: Tensor | None = None) -> Tensor:
-    """Multi-head self-attention over one window's tokens.
+    """Multi-head self-attention within each window of a stack of windows.
 
-    ``x`` is (n, d). Per head the projected queries attend over the projected
+    ``x`` is (..., n, d): any leading axes index independent windows of n
+    tokens each. Per head the projected queries attend over the projected
     keys/values, scaled by the inverse square root of the head dimension,
-    plus ``bias`` (n_heads, n, n_keys). ``mask`` marks padded token slots
-    (False = padded): padded slots are excluded from keys/values, and their
-    output rows are meaningless (callers drop them). Prepended ``extra_*``
-    rows carry no position bias and are never masked. Returns (n, d) after
-    the output projection.
+    plus ``bias`` (..., n_heads, n, n). ``add_q/k/v`` have the shape of
+    ``x``. The (n_extra, d) ``extra_k``/``extra_v`` rows are prepended to
+    the keys/values of every window and carry no position bias. Returns
+    (..., n, d) after the output projection.
     """
-    n, d = x.data.shape
+    *lead, n, d = x.data.shape
     heads = weights.n_heads
     if d % heads:
         raise ShapeError(f"token dim {d} not divisible by {heads} heads")
     hd = d // heads
+    b = len(lead)
+    heads_first = (*range(b), b + 1, b, b + 2)  # (..., rows, heads, hd) <-> (..., heads, rows, hd)
 
-    q = T.add(T.matmul(x, weights.w_q), weights.b_q)
-    k = T.add(T.matmul(x, weights.w_k), weights.b_k)
-    v = T.add(T.matmul(x, weights.w_v), weights.b_v)
-    if add_q is not None:
-        q = T.add(q, add_q)
-    if add_k is not None:
-        k = T.add(k, add_k)
-    if add_v is not None:
-        v = T.add(v, add_v)
+    def project(weight: Tensor, offset: Tensor, add: Tensor | None) -> Tensor:
+        out = T.add(T.matmul(x, weight), offset)
+        return out if add is None else T.add(out, add)
+
+    q = project(weights.w_q, weights.b_q, add_q)
+    k = project(weights.w_k, weights.b_k, add_k)
+    v = project(weights.w_v, weights.b_v, add_v)
 
     n_extra = 0
     if extra_k is not None:
@@ -262,31 +259,23 @@ def window_attention(x: Tensor, weights: AttentionWeights,
             raise ShapeError("extra key/value rows must come in matching pairs")
         n_extra = extra_k.data.shape[0]
         if n_extra:
-            k = T.concat([extra_k, k], axis=0)
-            v = T.concat([extra_v, v], axis=0)
-    nk = n + n_extra
+            k = T.concat([T.broadcast_to(extra_k, (*lead, n_extra, d)), k], axis=-2)
+            v = T.concat([T.broadcast_to(extra_v, (*lead, n_extra, d)), v], axis=-2)
 
-    qh = T.transpose(T.reshape(q, (n, heads, hd)), (1, 0, 2))
-    kh = T.transpose(T.reshape(k, (nk, heads, hd)), (1, 2, 0))
-    vh = T.transpose(T.reshape(v, (nk, heads, hd)), (1, 0, 2))
+    qh = T.transpose(T.reshape(q, (*lead, n, heads, hd)), heads_first)
+    kh = T.transpose(T.reshape(k, (*lead, n + n_extra, heads, hd)), (*range(b), b + 1, b + 2, b))
+    vh = T.transpose(T.reshape(v, (*lead, n + n_extra, heads, hd)), heads_first)
 
     logits = T.mul(T.matmul(qh, kh), 1.0 / math.sqrt(hd))
     if bias is not None:
         if n_extra:
-            pad = Tensor(np.zeros((heads, n, n_extra)))
-            bias = T.concat([pad, bias], axis=2)
+            pad = Tensor(np.zeros((*bias.data.shape[:-1], n_extra)))
+            bias = T.concat([pad, bias], axis=-1)
         logits = T.add(logits, bias)
 
-    key_mask = None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ShapeError(f"mask shape {mask.shape} does not match {n} tokens")
-        key_mask = np.concatenate([np.ones(n_extra, dtype=bool), mask])[None, None, :]
-
-    att = T.softmax(logits, axis=-1, mask=key_mask)
+    att = T.softmax(logits, axis=-1)
     out = T.matmul(att, vh)
-    merged = T.reshape(T.transpose(out, (1, 0, 2)), (n, d))
+    merged = T.reshape(T.transpose(out, heads_first), (*lead, n, d))
     return T.add(T.matmul(merged, weights.w_o), weights.b_o)
 
 
@@ -309,22 +298,21 @@ class BlockParams:
 
 def _windowed_attention(tokens: Tensor, blk: BlockParams, layout: WindowLayout,
                         extras: AttentionExtras | None) -> Tensor:
+    """One batched :func:`window_attention` call per window group, back in raster order."""
+    extras = extras or AttentionExtras()
+    heads = blk.attn.n_heads
     outs = []
-    for w in range(layout.window_count):
-        idx = layout.windows[w]
-        xw = T.gather_rows(tokens, idx)
-        kwargs = {}
-        if extras is not None:
-            kwargs = {
-                "extra_k": extras.extra_k,
-                "extra_v": extras.extra_v,
-                "add_q": T.gather_rows(extras.add_q, idx) if extras.add_q is not None else None,
-                "add_k": T.gather_rows(extras.add_k, idx) if extras.add_k is not None else None,
-                "add_v": T.gather_rows(extras.add_v, idx) if extras.add_v is not None else None,
-            }
-        outs.append(window_attention(xw, blk.attn, bias=bias_view(blk.attn, layout, w),
-                                     **kwargs))
-    stitched = T.concat(outs, axis=0)
+    for group in layout.groups:
+        idx = group.tokens
+        add_q, add_k, add_v = (None if t is None else T.gather_rows(t, idx)
+                               for t in (extras.add_q, extras.add_k, extras.add_v))
+        rows = T.gather_rows(blk.attn.bias_table, group.bias_index.reshape(-1))
+        bias = T.transpose(T.reshape(rows, (*group.bias_index.shape, heads)), (0, 3, 1, 2))
+        out = window_attention(T.gather_rows(tokens, idx), blk.attn, bias=bias,
+                               extra_k=extras.extra_k, extra_v=extras.extra_v,
+                               add_q=add_q, add_k=add_k, add_v=add_v)
+        outs.append(T.reshape(out, (idx.size, out.data.shape[-1])))
+    stitched = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
     return T.gather_rows(stitched, layout.inverse_perm)
 
 

@@ -7,7 +7,9 @@ Single-file layout:
   where each entry is ``{"path", "shape", "offset", "frozen"}`` and
   ``offset`` is the byte position of the entry's data inside the payload;
 * remainder: the concatenated parameter buffers as little-endian 64-bit
-  floats in C (row-major) order, in manifest order.
+  floats in C (row-major) order, in manifest order. The entries tile the
+  payload exactly: the first starts at 0, each next one where the previous
+  one ends, and the last one ends at the end of the file.
 
 Loading restores the exact bytes, so a reloaded model reproduces forward
 passes bit for bit, and restores each weight's freeze state.
@@ -16,6 +18,7 @@ passes bit for bit, and restores each weight's freeze state.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -58,20 +61,37 @@ def _read_entries(path: str) -> list[tuple[dict, np.ndarray]]:
         manifest = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable checkpoint manifest in {path}: {exc}") from exc
-    if manifest.get("format") != _FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise ConfigError(f"{path} is not a {_FORMAT} file")
     if manifest.get("version") != _VERSION:
         raise ConfigError(f"unsupported checkpoint version {manifest.get('version')}")
+    if not isinstance(manifest.get("entries"), list):
+        raise ConfigError(f"checkpoint {path} has no entry list")
     out = []
+    end = 0
+    seen: set[str] = set()
     for entry in manifest["entries"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(x, int) and x >= 0 for x in entry["shape"])
+                and isinstance(entry.get("offset"), int)
+                and isinstance(entry.get("frozen", False), bool)):
+            raise ConfigError(f"malformed checkpoint entry in {path}: {entry!r}")
+        if entry["path"] in seen:
+            raise ConfigError(f"checkpoint {path} lists '{entry['path']}' twice")
+        seen.add(entry["path"])
+        if entry["offset"] != end:
+            raise ConfigError(f"checkpoint {path}: '{entry['path']}' starts at byte "
+                              f"{entry['offset']}, expected {end}")
         shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        stop = start + n * _DTYPE.itemsize
-        if stop > len(payload):
+        start, end = end, end + math.prod(shape) * _DTYPE.itemsize
+        if end > len(payload):
             raise ConfigError(f"checkpoint {path} truncated at '{entry['path']}'")
         out.append((entry, np.frombuffer(
-            payload[start:stop], dtype=_DTYPE).reshape(shape).astype(np.float64)))
+            payload[start:end], dtype=_DTYPE).reshape(shape).astype(np.float64)))
+    if end != len(payload):
+        raise ConfigError(
+            f"checkpoint {path} has {len(payload) - end} bytes after its last entry")
     return out
 
 
@@ -81,7 +101,10 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(model, path: str) -> None:
-    """Restore ``model``'s weights and freeze state in place; paths and shapes must match."""
+    """Restore ``model``'s weights and freeze state in place; paths and shapes must match.
+
+    Nothing is written unless every path and shape matches.
+    """
     entries = {entry["path"]: (entry, data) for entry, data in _read_entries(path)}
     params = {p.path for p in model.registry}
     missing = sorted(params - set(entries))
@@ -89,10 +112,12 @@ def load_checkpoint(model, path: str) -> None:
     if missing or extra:
         raise ConfigError(
             f"checkpoint/model parameter mismatch: missing={missing[:5]} extra={extra[:5]}")
+    for p in model.registry:  # check every shape before writing any weight
+        shape = entries[p.path][1].shape
+        if shape != p.shape:
+            raise ConfigError(
+                f"shape mismatch for '{p.path}': checkpoint {shape} vs model {p.shape}")
     for p in model.registry:
         entry, data = entries[p.path]
-        if data.shape != p.shape:
-            raise ConfigError(
-                f"shape mismatch for '{p.path}': checkpoint {data.shape} vs model {p.shape}")
         p.tensor.data[...] = data
         p.tensor.requires_grad = not entry.get("frozen", p.frozen)

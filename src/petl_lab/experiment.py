@@ -21,6 +21,8 @@ import dataclasses
 import itertools
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -397,16 +399,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     if not quiet:
         print(f"cross-product: {len(combos)} run(s) -> {out}")
 
+    def run(indexed_combo):
+        i, (db, s, sites, frames) = indexed_combo
+        return execute_run(cfg, i, db, s, sites, frames, out)
+
     report = TradeoffReport()
-    if cfg.parallel and len(combos) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(4, len(combos))) as pool:
-            futures = [pool.submit(execute_run, cfg, i, db, s, sites, frames, out)
-                       for i, (db, s, sites, frames) in enumerate(combos)]
-            report.rows = [f.result() for f in futures]  # merged in config order
-    else:
-        for i, (db, s, sites, frames) in enumerate(combos):
-            row = execute_run(cfg, i, db, s, sites, frames, out)
+    parallel = cfg.parallel and len(combos) > 1
+    pool = ThreadPoolExecutor(max_workers=min(4, len(combos))) if parallel else nullcontext()
+    with pool:
+        for row in (pool.map if parallel else map)(run, enumerate(combos)):  # config order
             if not quiet:
                 print(f"  {row.run_id}: mech={row.mechanism} d_bottle={row.d_bottle} "
                       f"s={row.s} sites={row.sites} frames={row.frames} "

@@ -190,6 +190,15 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     return T.mul(T.tsum(picked), -1.0)
 
 
+def _batch_loss(model, clips, labels) -> Tensor:
+    """Mean cross-entropy of a batch: clip losses summed in order, then scaled."""
+    total = None
+    for clip, label in zip(clips, labels):
+        loss_i = cross_entropy(model.forward(clip), label)
+        total = loss_i if total is None else T.add(total, loss_i)
+    return T.mul(total, 1.0 / len(labels))
+
+
 def evaluate(model, dataset: SyntheticVideoDataset) -> float:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
     if len(dataset) == 0:
@@ -221,11 +230,7 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
     start = time.perf_counter()
     for step in range(1, opt.steps + 1):
         batch = rng.integers(0, len(dataset), size=opt.batch_size)
-        total = None
-        for i in batch:
-            loss_i = cross_entropy(model.forward(dataset.clips[i]), dataset.labels[i])
-            total = loss_i if total is None else T.add(total, loss_i)
-        loss = T.mul(total, 1.0 / opt.batch_size)
+        loss = _batch_loss(model, [dataset.clips[i] for i in batch], dataset.labels[batch])
         model.zero_grads()
         loss.backward()
         optimizer.step(trainable)
@@ -247,6 +252,7 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
 
 
 def _batch_loss_value(model, clips: np.ndarray, labels: np.ndarray) -> float:
+    """The same mean loss as :func:`_batch_loss`, computed in plain numpy (numeric side)."""
     with T.no_grad():
         total = 0.0
         for clip, label in zip(clips, labels):
@@ -277,11 +283,7 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
             f"(limit {max_params})")
 
     model.zero_grads()
-    total = None
-    for clip, label in zip(clips, labels):
-        loss_i = cross_entropy(model.forward(clip), label)
-        total = loss_i if total is None else T.add(total, loss_i)
-    T.mul(total, 1.0 / len(labels)).backward()
+    _batch_loss(model, clips, labels).backward()
     analytic = {p.path: (np.zeros_like(p.tensor.data) if p.tensor.grad is None
                          else p.tensor.grad.copy())
                 for p in trainable}

@@ -290,6 +290,17 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
     return _make_op(data, (t,), backward_fn, "transpose")
 
 
+def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
+    """Repeat ``t`` along new or unit axes to ``shape`` (numpy broadcasting)."""
+    data = np.broadcast_to(t.data, tuple(shape))
+
+    def backward_fn(g):
+        if t.requires_grad:
+            t._accum_grad(_unbroadcast(g, t.data.shape))
+
+    return _make_op(data, (t,), backward_fn, "broadcast_to")
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
@@ -347,25 +358,13 @@ def tmean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # -- normalization and attention kernels ------------------------------------
 
 
-def softmax(t: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax along ``axis``; optional boolean mask (False = excluded).
-
-    Masked positions get probability exactly zero; each row must keep at
-    least one valid position.
-    """
+def softmax(t: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along ``axis``."""
     x = t.data
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {t.shape}")
-    if mask is None:
-        m = x.max(axis=axis, keepdims=True)
-        e = np.exp(x - m)
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not mask.any(axis=axis).all():
-            raise ShapeError("softmax row with every position masked")
-        neg = np.where(mask, x, -np.inf)
-        m = neg.max(axis=axis, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, x, m) - m), 0.0)
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):

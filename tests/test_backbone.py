@@ -1,11 +1,17 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from petl_lab import (GeometryError, ModelConfig, ShapeError, Tensor, build_model,
+from petl_lab import (GeometryError, ModelConfig, PETLSpec, ShapeError, Tensor, build_model,
                       build_swin_bapat, freeze_backbone, grad_check, load_checkpoint,
                       patch_embed, read_checkpoint, save_checkpoint, window_partition)
 from petl_lab import tensor as T
-from petl_lab.backbone import (SWIN_B, SWIN_MICRO, AttentionWeights, bias_view,
+from petl_lab.backbone import (SWIN_B, SWIN_MICRO, AttentionWeights,
                                swin_block, window_attention, window_grid_counts)
 from petl_lab.errors import ConfigError
 
@@ -68,40 +74,70 @@ def test_window_counts_reference_example():
 def test_grid_equal_to_window_is_one_window():
     layout = window_partition((4, 4, 4), (4, 4, 4), False)
     assert layout.window_count == 1
-    assert len(layout.windows[0]) == 64
+    assert [g.tokens.shape for g in layout.groups] == [(1, 64)]
 
 
-def test_partition_property_random_grids(rng):
-    for _ in range(25):
-        grid = tuple(int(x) for x in rng.integers(1, 9, size=3))
-        window = tuple(int(x) for x in rng.integers(1, 6, size=3))
-        for shifted in (False, True):
-            layout = window_partition(grid, window, shifted)
-            seen = np.concatenate(layout.windows)
-            assert len(seen) == np.prod(grid)
-            assert len(np.unique(seen)) == np.prod(grid)  # each token exactly once
-            expected = np.prod(window_grid_counts(grid, window, shifted))
-            assert layout.window_count == expected
+def test_group_counts_reference_example():
+    # Windows of one token count share a call: a shifted axis has up to three
+    # window sizes (head, interior, tail), and groups key on their product.
+    assert len(window_partition((4, 56, 56), (8, 7, 7), False).groups) == 1
+    assert len(window_partition((4, 56, 56), (8, 7, 7), True).groups) == 6
+    assert len(window_partition((4, 16, 16), (8, 7, 7), False).groups) == 3
+    assert len(window_partition((4, 16, 16), (8, 7, 7), True).groups) == 6
+
+
+def _relative_offset_table(layout):
+    """Map each in-window offset (dt, dh, dw) to its bias-table row; one row per offset."""
+    by_delta = {}
+    for group in layout.groups:
+        coords = np.stack(np.unravel_index(group.tokens, layout.grid), axis=-1)
+        delta = coords[:, :, None, :] - coords[:, None, :, :]
+        for d, row in zip(delta.reshape(-1, 3), group.bias_index.reshape(-1)):
+            assert by_delta.setdefault(tuple(d), row) == row
+    return by_delta
+
+
+extent = st.integers(1, 9)
+window_extent = st.integers(1, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.tuples(extent, extent, extent),
+       window=st.tuples(window_extent, window_extent, window_extent),
+       shifted=st.booleans())
+@example(grid=(1, 1, 1), window=(5, 5, 5), shifted=True)
+@example(grid=(1, 3, 2), window=(4, 4, 4), shifted=False)
+def test_partition_property_random_grids(grid, window, shifted):
+    layout = window_partition(grid, window, shifted)
+    n_tokens = int(np.prod(grid))
+    perm = np.concatenate([g.tokens.reshape(-1) for g in layout.groups])
+    assert np.array_equal(np.sort(perm), np.arange(n_tokens))  # each token exactly once
+    assert np.array_equal(perm[layout.inverse_perm], np.arange(n_tokens))
+    sizes = [g.tokens.shape[1] for g in layout.groups]
+    assert sizes == sorted(set(sizes))  # one group per token count
+    assert sum(g.tokens.shape[0] for g in layout.groups) == layout.window_count \
+        == np.prod(window_grid_counts(grid, window, shifted))
+    table_rows = np.prod([2 * w - 1 for w in window])
+    for g in layout.groups:
+        assert g.bias_index.shape == (*g.tokens.shape, g.tokens.shape[1])
+        assert g.bias_index.min() >= 0 and g.bias_index.max() < table_rows
+    _relative_offset_table(layout)
 
 
 def test_inverse_perm_restores_order(rng):
     layout = window_partition((3, 5, 4), (2, 3, 3), True)
-    perm = np.concatenate(layout.windows)
+    assert len(layout.groups) > 1
+    perm = np.concatenate([g.tokens.reshape(-1) for g in layout.groups])
     assert np.array_equal(perm[layout.inverse_perm], np.arange(3 * 5 * 4))
 
 
 def test_bias_index_depends_only_on_relative_offset():
-    layout = window_partition((4, 4, 4), (4, 4, 4), False)
-    coords = layout.coords[0]
-    index = layout.bias_index[0]
-    by_delta = {}
-    for i in range(len(coords)):
-        for j in range(len(coords)):
-            delta = tuple(coords[i] - coords[j])
-            if delta in by_delta:
-                assert by_delta[delta] == index[i, j]
-            else:
-                by_delta[delta] = index[i, j]
+    for grid, window in (((4, 4, 4), (4, 4, 4)), ((2, 2, 2), (2, 2, 2))):
+        layout = window_partition(grid, window, False)
+        by_delta = _relative_offset_table(layout)
+        # every relative offset of a full window has its own table row
+        assert len(by_delta) == len(set(by_delta.values())) \
+            == np.prod([2 * w - 1 for w in window])
 
 
 # -- patch embedding -------------------------------------------------------------
@@ -170,26 +206,22 @@ def test_window_attention_head_dim_mismatch():
         window_attention(Tensor(rng.normal(size=(3, 6))), w)
 
 
-def test_window_attention_mask_excludes_padded(rng):
-    d, heads, n = 8, 2, 5
+def test_batched_window_attention_equals_single_windows(rng):
+    d, heads, n, g = 8, 2, 4, 3
     w = random_attention_weights(rng, d, heads, 27)
-    x = rng.normal(size=(n, d))
-    mask = np.array([True, True, False, True, False])
-    out = window_attention(Tensor(x), w, mask=mask)
-    # valid rows must equal plain attention over the valid subset
-    sub = window_attention(Tensor(x[mask]), w)
-    np.testing.assert_allclose(out.data[mask], sub.data, atol=1e-12)
-
-
-def test_bias_view_shares_table_entries(rng):
-    layout = window_partition((2, 2, 2), (2, 2, 2), False)
-    heads = 2
-    w = random_attention_weights(rng, 4, heads, 27)
-    view = bias_view(w, layout, 0)
-    assert view.shape == (heads, 8, 8)
-    idx = layout.bias_index[0]
-    for h in range(heads):
-        np.testing.assert_array_equal(view.data[h], w.bias_table.data[idx, h])
+    x = rng.normal(size=(g, n, d))
+    bias = rng.normal(size=(g, heads, n, n))
+    adds = rng.normal(scale=0.3, size=(3, g, n, d))
+    extra_k, extra_v = Tensor(rng.normal(size=(2, d))), Tensor(rng.normal(size=(2, d)))
+    out = window_attention(Tensor(x), w, bias=Tensor(bias), extra_k=extra_k, extra_v=extra_v,
+                           add_q=Tensor(adds[0]), add_k=Tensor(adds[1]), add_v=Tensor(adds[2]))
+    assert out.shape == (g, n, d)
+    for i in range(g):
+        single = window_attention(Tensor(x[i]), w, bias=Tensor(bias[i]),
+                                  extra_k=extra_k, extra_v=extra_v,
+                                  add_q=Tensor(adds[0, i]), add_k=Tensor(adds[1, i]),
+                                  add_v=Tensor(adds[2, i]))
+        np.testing.assert_array_equal(out.data[i], single.data)
 
 
 def test_attention_permutation_equivariance(rng):
@@ -330,3 +362,76 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"\x00\x01\x02 not a checkpoint\n")
     with pytest.raises(ConfigError):
         read_checkpoint(path)
+
+
+def test_checkpoint_file_bytes_pinned(tmp_path):
+    # digest of the version-1 file computed before the reader was made strict
+    model = build_swin_bapat(TINY, d_bottle=2, seed=8)
+    freeze_backbone(model, model.petl_spec)
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "c3b4bbaad9399d94e38c288906d12fba64bfa884d2cc87e41b78a76085eac17f"
+
+
+def _weights_and_flags(model):
+    return [(p.path, p.tensor.data.tobytes(), p.tensor.requires_grad) for p in model.registry]
+
+
+def test_checkpoint_shape_mismatch_writes_nothing(tmp_path):
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(build_model(TINY, seed=9), path)  # every weight trainable
+    target = build_model(dataclasses.replace(TINY, num_classes=4), seed=11)
+    freeze_backbone(target, PETLSpec())
+    before = _weights_and_flags(target)
+    # head.* is the only mismatch, and it comes after every backbone weight
+    with pytest.raises(ConfigError, match="head.weight"):
+        load_checkpoint(target, path)
+    assert _weights_and_flags(target) == before
+
+
+def _rewrite_checkpoint(path, edit_manifest=None, payload_suffix=b""):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    if edit_manifest is not None:
+        manifest = edit_manifest(manifest)
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload + payload_suffix)
+
+
+def _shift_second_offset(delta):
+    def edit(manifest):
+        manifest["entries"][1]["offset"] += delta
+        return manifest
+    return edit
+
+
+def _drop_key(key):
+    def edit(manifest):
+        del manifest["entries"][0][key]
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit,suffix", [
+    (None, bytes(64)),                          # trailing bytes
+    (_shift_second_offset(-8), b""),            # overlapping entries
+    (_shift_second_offset(8), b""),             # gap between entries
+    (lambda m: [m], b""),                       # manifest not an object
+    (lambda m: {k: v for k, v in m.items() if k != "entries"}, b""),
+    (_drop_key("path"), b""),
+    (_drop_key("shape"), b""),
+    (_drop_key("offset"), b""),
+    (lambda m: {**m, "entries": [3] + m["entries"][1:]}, b""),
+    (lambda m: {**m, "entries": [m["entries"][0], {**m["entries"][1],
+                                                   "path": m["entries"][0]["path"]}]
+                + m["entries"][2:]}, b""),
+], ids=["trailing-bytes", "overlap", "gap", "manifest-list", "no-entries",
+        "no-path", "no-shape", "no-offset", "entry-not-object", "duplicate-path"])
+def test_checkpoint_rejects_malformed_files(tmp_path, edit, suffix):
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(build_model(TINY, seed=9), path)
+    _rewrite_checkpoint(path, edit, suffix)
+    with pytest.raises(ConfigError):
+        read_checkpoint(path)
+    with pytest.raises(ConfigError):
+        load_checkpoint(build_model(TINY, seed=9), path)

@@ -156,6 +156,14 @@ def test_parallel_mode_matches_sequential(tmp_path):
     assert [r.run_id for r in par.rows] == [r.run_id for r in seq.rows]
 
 
+def test_parallel_mode_prints_each_run(tmp_path, capsys):
+    raw = make_config(ablation={"d_bottle": [2, 4]}, parallel=True)
+    report = run_experiment(parse_config(write_config(tmp_path, raw)), out_dir=tmp_path / "p")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].strip() for line in lines[1:]] == ["run000", "run001"]
+    assert [r.run_id for r in report.rows] == ["run000", "run001"]
+
+
 def test_class_count_mismatch_rejected(tmp_path):
     raw = make_config(dataset={"n_classes": 4})
     cfg = parse_config(write_config(tmp_path, raw))

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from petl_lab import (ConfigError, OptimizerConfig, ParameterRegistry, PETLSpec,
-                      Tensor, attach_petl, build_model, build_swin_bapat,
-                      cross_entropy, evaluate, freeze_backbone, grad_check,
-                      make_dataset, train)
+from petl_lab import (SWIN_MICRO, ConfigError, ModelConfig, OptimizerConfig,
+                      ParameterRegistry, PETLSpec, Tensor, attach_petl, build_model,
+                      build_swin_bapat, cross_entropy, evaluate, freeze_backbone,
+                      grad_check, make_dataset, train)
 from petl_lab import tensor as tensor_mod
 from petl_lab import tensor as T
 from petl_lab.harness import make_optimizer
@@ -328,3 +330,58 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
     model = _tiny_petl_model()
     corrupted = grad_check(model, ds.clips[:1], ds.labels[:1], eps=1e-5)
     assert corrupted > 1e-2, f"fault injection went undetected: {corrupted:.3e}"
+
+
+# -- pinned end-to-end digests -------------------------------------------------------
+
+ALL_FOUR = PETLSpec(mechanisms=("prefix", "adapter_parallel", "prompt", "patt"),
+                    d_bottle=2, d_token=3, d_prompt=2, d_middle=2, patt_sites=("Q", "K", "V"))
+
+# Eight blocks with (2, 3, 3) windows: the shifted layouts hold several window
+# sizes, so attention runs as several window groups.
+MULTI_GROUP = ModelConfig(input_size=(4, 32, 32), embed_dims=(4, 4, 8, 8),
+                          blocks_per_stage=(2, 2, 2, 2), heads_per_stage=(2, 2, 2, 2),
+                          window_size=(2, 3, 3), num_classes=3)
+
+# sha256 over held-out logits, and over the training losses plus every
+# trainable weight after 3 Adam steps, computed with one attention call per
+# window (before windows were batched by size).
+PINNED = {
+    ("micro", "bapat"): (
+        "748b609a5e1e5c365e6e5ca3c37de8cfd01faad1e59bcc1c0a30e798d38dd033",
+        "bdc44f8e660d0026ac8ad6cc5de554054cd3cf564d278da108d130c43f25605b"),
+    ("micro", "all_four"): (
+        "6276780b1266b4254c9b10dae653cdf8bde52637ff9d25d6d339532922e3157f",
+        "e40fc1d46d433cb376ebfa54f2f3809c6334105d913579bc9cc69124fa9d2095"),
+    # Forward only: with several groups, the gradient of rows shared by all
+    # windows (prefix, prompt) is summed group by group, a different order.
+    ("multi_group", "bapat"): (
+        "fb9cb4561247f90e39cc56575c73c8b031aee2ef2ab99dc22033ab3f3d1efa07", None),
+    ("multi_group", "all_four"): (
+        "7c3d4aad93988fa4fe5ba08fc9a435ea7a6ae291936b4a4cb77461bd84a10cd2", None),
+}
+
+
+@pytest.mark.parametrize("cfg_name,spec_name", list(PINNED))
+def test_logits_and_training_bitwise_pinned(cfg_name, spec_name):
+    cfg = {"micro": SWIN_MICRO, "multi_group": MULTI_GROUP}[cfg_name]
+    if spec_name == "bapat":
+        model = build_swin_bapat(cfg, d_bottle=4, seed=3)
+    else:
+        model = build_model(cfg, seed=3)
+        attach_petl(model, ALL_FOUR, seed=4)
+    freeze_backbone(model, model.petl_spec)
+    ds = make_dataset(cfg.num_classes, 2, cfg.input_size, seed=5)
+    with T.no_grad():
+        logits = np.stack([model.forward(clip).data for clip in ds.clips])
+    logits_digest, train_digest = PINNED[(cfg_name, spec_name)]
+    assert hashlib.sha256(logits.astype("<f8").tobytes()).hexdigest() == logits_digest
+    if train_digest is None:
+        return
+    history = train(model, ds, OptimizerConfig(kind="adam", lr=1e-2, steps=3, batch_size=4),
+                    seed=6)
+    digest = hashlib.sha256(np.asarray(history.losses, dtype="<f8").tobytes())
+    for p in model.registry.trainable():
+        digest.update(p.path.encode())
+        digest.update(np.ascontiguousarray(p.tensor.data, dtype="<f8").tobytes())
+    assert digest.hexdigest() == train_digest

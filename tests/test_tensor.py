@@ -120,23 +120,6 @@ def test_softmax_invalid_axis():
         T.softmax(Tensor([1.0, 2.0]), axis=3)
 
 
-def test_masked_softmax_excludes_positions(rng):
-    x = rng.normal(size=(2, 5))
-    mask = np.array([[True, True, False, True, False],
-                     [True, True, True, True, True]])
-    out = T.softmax(Tensor(x), axis=-1, mask=mask)
-    assert np.all(out.data[~mask] == 0.0)
-    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-    # valid entries match softmax over the valid subset
-    sub = np.exp(x[0, [0, 1, 3]] - x[0, [0, 1, 3]].max())
-    np.testing.assert_allclose(out.data[0, [0, 1, 3]], sub / sub.sum(), atol=1e-12)
-
-
-def test_masked_softmax_all_masked_row_rejected():
-    with pytest.raises(ShapeError):
-        T.softmax(Tensor([[1.0, 2.0]]), axis=-1, mask=np.array([[False, False]]))
-
-
 # -- layer norm ---------------------------------------------------------------
 
 
@@ -225,8 +208,8 @@ def test_backward_composed_model_vs_finite_differences(rng):
 @pytest.mark.parametrize("case", [
     "add", "add_broadcast", "sub", "mul", "mul_broadcast", "matmul",
     "matmul_batched", "reshape", "transpose", "concat", "gather", "sum_axis",
-    "mean", "softmax", "masked_softmax", "log_softmax", "layer_norm", "relu",
-    "gelu", "tanh",
+    "mean", "softmax", "log_softmax", "layer_norm", "relu", "gelu", "tanh",
+    "broadcast_to",
 ])
 def test_per_op_gradients(case, rng):
     # random small shapes (<= 64 elements per operand)
@@ -241,8 +224,6 @@ def test_per_op_gradients(case, rng):
     pos = Tensor(np.abs(rng.normal(size=(4, 6))) + 0.2, requires_grad=True)
     sign = rng.choice([-1.0, 1.0], size=(4, 6))
     weight = Tensor(rng.normal(size=(4, 6)) + 0.1 * sign)
-    mask = rng.random((4, 6)) < 0.7
-    mask[:, 0] = True
     idx = rng.integers(0, 4, size=5)
 
     cases = {
@@ -263,14 +244,14 @@ def test_per_op_gradients(case, rng):
         "sum_axis": (lambda: T.tsum(T.mul(T.tsum(a, axis=1), T.tsum(a, axis=1))), [a]),
         "mean": (lambda: T.tsum(T.mul(T.tmean(a, axis=0), T.tmean(a, axis=0))), [a]),
         "softmax": (lambda: T.tsum(T.mul(T.softmax(a, axis=-1), weight)), [a]),
-        "masked_softmax": (lambda: T.tsum(T.mul(T.softmax(a, axis=-1, mask=mask),
-                                                weight)), [a]),
         "log_softmax": (lambda: T.tsum(T.mul(T.log_softmax(a, axis=-1), weight)), [a]),
         "layer_norm": (lambda: T.tsum(T.mul(T.layer_norm(a, gamma, beta, 1e-5),
                                             weight)), [a, gamma, beta]),
         "relu": (lambda: T.tsum(T.mul(T.relu(T.mul(pos, Tensor(sign))), weight)), [pos]),
         "gelu": (lambda: T.tsum(T.mul(T.gelu(a), weight)), [a]),
         "tanh": (lambda: T.tsum(T.mul(T.tanh(a), weight)), [a]),
+        "broadcast_to": (lambda: T.tsum(T.mul(T.broadcast_to(row, (2, 4, 6)),
+                                              T.broadcast_to(a, (2, 4, 6)))), [row, a]),
     }
     f, leaves = cases[case]
     check_op_grads(f, leaves)
