@@ -8,13 +8,17 @@ Between stages a 2x2 spatial patch merge halves the grid and grows the
 channel dimension. A final layer norm, global average pool, and fully
 connected head produce class logits.
 
+Axes before a clip's ``(t, h, w, 3)`` are clip-batch axes and stay leading
+in every token tensor ``(..., N, d)``, so a batch of clips runs as one graph
+and a single clip is the same code with no leading axes.
+
 Shifted windows are realized by re-binning tokens into the offset grid:
 windows keep only the tokens that actually exist, so boundary windows are
 simply smaller and no attention masking is required. The window *count*
 matches the padded-grid convention (``ceil((extent + shift) / window)``).
 Windows with the same token count form a group, and each group runs as one
-batched attention call over a leading window axis, as in Swin and Video
-Swin, without padding.
+batched attention call over leading (clip, window) axes, as in Swin and
+Video Swin, without padding.
 
 Fine-tuning modules plug in through a per-block hooks object (see
 :mod:`petl_lab.petl`); the backbone only defines the call surface.
@@ -209,7 +213,7 @@ class AttentionExtras:
 
     ``extra_k`` / ``extra_v`` are learnable (n_extra, d) rows prepended to
     every window's keys/values (token-dimension concat), shared by all
-    windows of a group. ``add_q/k/v`` are full-grid (tokens, d) additive
+    windows and clips. ``add_q/k/v`` are full-grid (..., N, d) additive
     corrections, already scaled, gathered per window alongside the tokens.
     """
 
@@ -232,10 +236,11 @@ def window_attention(x: Tensor, weights: AttentionWeights,
     ``x`` is (..., n, d): any leading axes index independent windows of n
     tokens each. Per head the projected queries attend over the projected
     keys/values, scaled by the inverse square root of the head dimension,
-    plus ``bias`` (..., n_heads, n, n). ``add_q/k/v`` have the shape of
-    ``x``. The (n_extra, d) ``extra_k``/``extra_v`` rows are prepended to
-    the keys/values of every window and carry no position bias. Returns
-    (..., n, d) after the output projection.
+    plus ``bias``, which broadcasts to (..., n_heads, n, n): a (G, n_heads,
+    n, n) bias serves every clip of a (B, G) lead. ``add_q/k/v`` have the
+    shape of ``x``. The (n_extra, d) ``extra_k``/``extra_v`` rows are
+    prepended to the keys/values of every window and carry no position bias.
+    Returns (..., n, d) after the output projection.
     """
     *lead, n, d = x.data.shape
     heads = weights.n_heads
@@ -298,22 +303,28 @@ class BlockParams:
 
 def _windowed_attention(tokens: Tensor, blk: BlockParams, layout: WindowLayout,
                         extras: AttentionExtras | None) -> Tensor:
-    """One batched :func:`window_attention` call per window group, back in raster order."""
+    """One batched :func:`window_attention` call per window group, back in raster order.
+
+    ``tokens`` is (..., N, d). A group's (G, n) token indices are gathered
+    along the token axis, so each call runs on (..., G, n, d) and its bias
+    (G, heads, n, n) is shared by every clip. Returns (..., N, d).
+    """
     extras = extras or AttentionExtras()
     heads = blk.attn.n_heads
+    *lead, _, d = tokens.data.shape
     outs = []
     for group in layout.groups:
         idx = group.tokens
-        add_q, add_k, add_v = (None if t is None else T.gather_rows(t, idx)
+        add_q, add_k, add_v = (None if t is None else T.gather_rows(t, idx, axis=-2)
                                for t in (extras.add_q, extras.add_k, extras.add_v))
         rows = T.gather_rows(blk.attn.bias_table, group.bias_index.reshape(-1))
         bias = T.transpose(T.reshape(rows, (*group.bias_index.shape, heads)), (0, 3, 1, 2))
-        out = window_attention(T.gather_rows(tokens, idx), blk.attn, bias=bias,
+        out = window_attention(T.gather_rows(tokens, idx, axis=-2), blk.attn, bias=bias,
                                extra_k=extras.extra_k, extra_v=extras.extra_v,
                                add_q=add_q, add_k=add_k, add_v=add_v)
-        outs.append(T.reshape(out, (idx.size, out.data.shape[-1])))
-    stitched = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
-    return T.gather_rows(stitched, layout.inverse_perm)
+        outs.append(T.reshape(out, (*lead, idx.size, d)))
+    stitched = outs[0] if len(outs) == 1 else T.concat(outs, axis=-2)
+    return T.gather_rows(stitched, layout.inverse_perm, axis=-2)
 
 
 def swin_block(z: Tensor, blk: BlockParams, layout: WindowLayout, hooks=None) -> Tensor:
@@ -346,38 +357,48 @@ class StageParams:
 
 def merge_tokens(z: Tensor, grid: tuple[int, int, int], ds: DownsampleParams,
                  eps: float) -> tuple[Tensor, tuple[int, int, int]]:
-    """2x2 spatial patch merge: concat neighbor features, norm, linear reduce."""
+    """2x2 spatial patch merge: concat neighbor features, norm, linear reduce.
+
+    ``z`` is (..., N, d) over ``grid``; returns (..., N / 4, d_out) and the
+    halved grid.
+    """
     gt, gh, gw = grid
     if gh % 2 or gw % 2:
         raise GeometryError(f"cannot merge grid {grid} with odd spatial extents")
     flat = np.arange(gt * gh * gw).reshape(gt, gh, gw)
     quadrants = [flat[:, 0::2, 0::2], flat[:, 1::2, 0::2],
                  flat[:, 0::2, 1::2], flat[:, 1::2, 1::2]]
-    parts = [T.gather_rows(z, q.reshape(-1)) for q in quadrants]
-    cat = T.concat(parts, axis=1)
+    parts = [T.gather_rows(z, q.reshape(-1), axis=-2) for q in quadrants]
+    cat = T.concat(parts, axis=-1)
     cat = T.layer_norm(cat, ds.norm_gamma, ds.norm_beta, eps)
     return T.matmul(cat, ds.reduction), (gt, gh // 2, gw // 2)
 
 
 def extract_patches(video: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Flatten non-overlapping (pt, ph, pw, channels) patches in raster order."""
+    """Flatten non-overlapping (pt, ph, pw, channels) patches in raster order.
+
+    ``video`` is (..., t, h, w, channels); returns (..., N, patch_volume).
+    """
     video = np.asarray(video, dtype=np.float64)
     expected = (*cfg.input_size, cfg.in_channels)
-    if video.shape != expected:
-        raise GeometryError(f"clip shape {video.shape} does not match config {expected}")
+    if video.shape[-4:] != expected:
+        raise GeometryError(f"clip shape {video.shape} does not end in config {expected}")
+    lead = video.shape[:-4]
     gt, gh, gw = cfg.token_grid()
     pt, ph, pw = cfg.patch_size
-    patches = video.reshape(gt, pt, gh, ph, gw, pw, cfg.in_channels)
-    patches = patches.transpose(0, 2, 4, 1, 3, 5, 6)
-    return patches.reshape(gt * gh * gw, cfg.patch_volume)
+    patches = video.reshape(*lead, gt, pt, gh, ph, gw, pw, cfg.in_channels)
+    b = len(lead)
+    patches = patches.transpose(*range(b), *(b + a for a in (0, 2, 4, 1, 3, 5, 6)))
+    return patches.reshape(*lead, gt * gh * gw, cfg.patch_volume)
 
 
 def patch_embed(video: np.ndarray, cfg: ModelConfig, weight: Tensor,
                 bias: Tensor) -> Tensor:
     """Project each flattened patch to the stage-0 embedding dimension.
 
-    Returns the token matrix (prod(token_grid), embed_dims[0]); tokens are in
-    raster order over the grid ``cfg.token_grid()``.
+    Returns tokens (..., prod(token_grid), embed_dims[0]) for clips
+    (..., t, h, w, channels); tokens are in raster order over the grid
+    ``cfg.token_grid()``.
     """
     return T.add(T.matmul(Tensor(extract_patches(video, cfg)), weight), bias)
 
@@ -412,7 +433,12 @@ class VideoSwinModel:
         return self._layouts[key]
 
     def forward(self, video: np.ndarray) -> Tensor:
-        """Run one clip through the network; returns logits of shape (num_classes,)."""
+        """Run clips (..., t, h, w, 3) through the network; returns logits (..., num_classes).
+
+        Leading axes are clip-batch axes and stay leading in every token
+        tensor, so a batch is one graph; one clip (t, h, w, 3) gives
+        (num_classes,). Each clip's logits equal those of its own forward.
+        """
         cfg = self.cfg
         z = patch_embed(video, cfg, self.embed_w, self.embed_b)
         z = T.layer_norm(z, self.embed_norm_g, self.embed_norm_b, cfg.layer_norm_eps)
@@ -425,9 +451,9 @@ class VideoSwinModel:
                 z, grid = merge_tokens(z, grid, stage.downsample, cfg.layer_norm_eps)
 
         z = T.layer_norm(z, self.norm_gamma, self.norm_beta, cfg.layer_norm_eps)
-        pooled = T.tmean(z, axis=0, keepdims=True)
+        pooled = T.tmean(z, axis=-2, keepdims=True)
         logits = T.add(T.matmul(pooled, self.head_w), self.head_b)
-        return T.reshape(logits, (cfg.num_classes,))
+        return T.reshape(logits, (*z.data.shape[:-2], cfg.num_classes))
 
     def zero_grads(self) -> None:
         for p in self.registry:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .registry import Parameter
 from .tensor import Tensor
 
@@ -184,19 +184,42 @@ class TrainHistory:
                 fh.write(f"{step},{loss!r}\n")
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Softmax cross-entropy of one clip's logits against its class index."""
-    picked = T.gather_rows(T.log_softmax(logits, axis=-1), [int(label)])
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Class indices must be integers in [0, n_classes)."""
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ShapeError(f"class labels must be integers, got dtype {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ShapeError(f"class labels must lie in [0, {n_classes}), "
+                         f"got {labels.min()}..{labels.max()}")
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Summed softmax cross-entropy of logits (..., C) against class indices (...).
+
+    The log-softmax is picked at flat indices ``arange(B) * C + label``, so
+    one clip's (C,) logits and an int label give that clip's loss.
+    """
+    labels = np.asarray(labels)
+    *lead, n_classes = logits.data.shape
+    if labels.shape != tuple(lead):
+        raise ShapeError(f"labels of shape {labels.shape} do not match logits {logits.shape}")
+    _check_labels(labels, n_classes)
+    flat = T.reshape(T.log_softmax(logits, axis=-1), (-1,))
+    picked = T.gather_rows(flat, np.arange(labels.size) * n_classes + labels.reshape(-1))
     return T.mul(T.tsum(picked), -1.0)
 
 
-def _batch_loss(model, clips, labels) -> Tensor:
-    """Mean cross-entropy of a batch: clip losses summed in order, then scaled."""
-    total = None
-    for clip, label in zip(clips, labels):
-        loss_i = cross_entropy(model.forward(clip), label)
-        total = loss_i if total is None else T.add(total, loss_i)
-    return T.mul(total, 1.0 / len(labels))
+def _check_batch(model, clips: np.ndarray, labels: np.ndarray) -> None:
+    """Before any forward: at least one clip, and one valid class index per clip."""
+    if len(labels) == 0 or len(clips) != len(labels):
+        raise ConfigError(f"need at least one clip and one label per clip, "
+                          f"got {len(clips)} clips and {len(labels)} labels")
+    _check_labels(np.asarray(labels), model.cfg.num_classes)
+
+
+def _batch_loss(model, clips: np.ndarray, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of a batch of clips, from one forward over the batch."""
+    return T.mul(cross_entropy(model.forward(clips), labels), 1.0 / len(labels))
 
 
 def evaluate(model, dataset: SyntheticVideoDataset) -> float:
@@ -223,6 +246,7 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
     trainable = model.registry.trainable()
     if not trainable:
         raise ConfigError("model has no trainable parameters")
+    _check_batch(model, dataset.clips, dataset.labels)
     optimizer = make_optimizer(opt)
     rng = np.random.default_rng(seed)
     history = TrainHistory(trainable_count=sum(p.count for p in trainable))
@@ -230,7 +254,7 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
     start = time.perf_counter()
     for step in range(1, opt.steps + 1):
         batch = rng.integers(0, len(dataset), size=opt.batch_size)
-        loss = _batch_loss(model, [dataset.clips[i] for i in batch], dataset.labels[batch])
+        loss = _batch_loss(model, dataset.clips[batch], dataset.labels[batch])
         model.zero_grads()
         loss.backward()
         optimizer.step(trainable)
@@ -252,7 +276,11 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
 
 
 def _batch_loss_value(model, clips: np.ndarray, labels: np.ndarray) -> float:
-    """The same mean loss as :func:`_batch_loss`, computed in plain numpy (numeric side)."""
+    """The same mean loss as :func:`_batch_loss`, computed in plain numpy (numeric side).
+
+    One forward per clip, so the numeric gradient also checks the batched
+    forward and loss of the analytic side.
+    """
     with T.no_grad():
         total = 0.0
         for clip, label in zip(clips, labels):
@@ -281,6 +309,7 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
         raise ConfigError(
             f"{n_params} trainable parameters: too many for finite differences "
             f"(limit {max_params})")
+    _check_batch(model, clips, labels)
 
     model.zero_grads()
     _batch_loss(model, clips, labels).backward()

@@ -318,15 +318,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make_op(data, tuple(tensors), backward_fn, "concat")
 
 
-def gather_rows(t: Tensor, index) -> Tensor:
-    """Select rows along axis 0: ``out[i] = t[index[i]]``."""
+def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
+    """Select entries along ``axis``: ``out[..., i, ...] = t[..., index[i], ...]``.
+
+    ``index`` may have any shape; it replaces ``axis`` in the output shape
+    (``np.take`` semantics). Repeated indices accumulate in backward.
+    """
+    if not -t.data.ndim <= axis < t.data.ndim:
+        raise ShapeError(f"gather_rows axis {axis} invalid for shape {t.shape}")
     idx = np.asarray(index, dtype=np.intp)
-    data = t.data[idx]
+    axis = axis % t.data.ndim
+    data = np.take(t.data, idx, axis=axis)
 
     def backward_fn(g):
         if t.requires_grad:
             buf = np.zeros_like(t.data)
-            np.add.at(buf, idx, g)
+            np.add.at(buf, (slice(None),) * axis + (idx,), g)
             t._accum_grad(buf)
 
     return _make_op(data, (t,), backward_fn, "gather_rows")

@@ -286,6 +286,14 @@ def test_forward_single_class_logit_length(rng):
     assert model.forward(random_clip(rng, cfg)).shape == (1,)
 
 
+@pytest.mark.parametrize("shape", [(5, 32, 32, 3), (2, 5, 32, 32, 3), (4, 32, 32, 4),
+                                   (2, 4, 32, 32, 4), (32, 32, 3)])
+def test_forward_rejects_wrong_clip_shape(shape):
+    model = build_model(TINY, seed=5)
+    with pytest.raises(GeometryError):
+        model.forward(np.zeros(shape))
+
+
 def test_forward_deterministic_bitwise(rng):
     model = build_model(TINY, seed=5)
     clip = random_clip(rng, TINY)

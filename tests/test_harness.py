@@ -1,15 +1,16 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from petl_lab import (SWIN_MICRO, ConfigError, ModelConfig, OptimizerConfig,
-                      ParameterRegistry, PETLSpec, Tensor, attach_petl, build_model,
-                      build_swin_bapat, cross_entropy, evaluate, freeze_backbone,
-                      grad_check, make_dataset, train)
+                      ParameterRegistry, PETLLabError, PETLSpec, Tensor, attach_petl,
+                      build_model, build_swin_bapat, cross_entropy, evaluate,
+                      freeze_backbone, grad_check, make_dataset, train)
 from petl_lab import tensor as tensor_mod
 from petl_lab import tensor as T
-from petl_lab.harness import make_optimizer
+from petl_lab.harness import SyntheticVideoDataset, _batch_loss, make_optimizer
 
 from conftest import TINY
 
@@ -259,10 +260,11 @@ def test_optimizer_validation():
 
 
 class LinearProbe:
-    """Logits are an exactly linear map of the flattened clip."""
+    """Logits are an exactly linear map of each flattened clip."""
 
     def __init__(self, in_dim, n_classes, seed):
         rng = np.random.default_rng(seed)
+        self.cfg = SimpleNamespace(num_classes=n_classes)
         self.registry = ParameterRegistry()
         self.w = Tensor(rng.normal(scale=0.1, size=(in_dim, n_classes)),
                         requires_grad=True)
@@ -270,9 +272,12 @@ class LinearProbe:
         self.registry.register("probe.weight", self.w)
         self.registry.register("probe.bias", self.b)
 
-    def forward(self, clip):
-        x = Tensor(np.asarray(clip).reshape(1, -1))
-        return T.reshape(T.add(T.matmul(x, self.w), self.b), (self.b.size,))
+    def forward(self, clips):
+        """Clips (..., in_dim) to logits (..., n_classes)."""
+        clips = np.asarray(clips)
+        x = Tensor(clips.reshape(-1, self.w.shape[0]))
+        logits = T.add(T.matmul(x, self.w), self.b)
+        return T.reshape(logits, (*clips.shape[:-1], self.b.size))
 
     def zero_grads(self):
         for p in self.registry:
@@ -332,6 +337,98 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
     assert corrupted > 1e-2, f"fault injection went undetected: {corrupted:.3e}"
 
 
+# -- bad labels and empty batches ----------------------------------------------------
+
+
+def _refuse_forward(model):
+    def forward(clips):
+        raise AssertionError("forward ran before the batch was checked")
+    model.forward = forward
+    return model
+
+
+def _empty_dataset():
+    return SyntheticVideoDataset(np.zeros((0, *TINY.input_size, 3)), np.zeros(0, np.int64),
+                                 TINY.num_classes, seed=0)
+
+
+BAD_BATCHES = {
+    # one clip, label -1: must not score the last class
+    "loss-negative-label": lambda: cross_entropy(Tensor(np.zeros(3)), -1),
+    # a batch, label -1: flat indexing must not read the previous clip's row
+    "loss-negative-label-in-batch": lambda: cross_entropy(Tensor(np.zeros((2, 3))), [0, -1]),
+    "loss-label-past-classes": lambda: cross_entropy(Tensor(np.zeros(3)), 3),
+    "loss-labels-shape": lambda: cross_entropy(Tensor(np.zeros((2, 3))), [0, 1, 2]),
+    "train-label-past-classes": lambda: train(
+        _refuse_forward(_head_only_model()), make_dataset(4, 1, TINY.input_size, seed=0),
+        OptimizerConfig(steps=1, batch_size=2)),
+    "train-empty-dataset": lambda: train(
+        _refuse_forward(_head_only_model()), _empty_dataset(),
+        OptimizerConfig(steps=1, batch_size=2)),
+    "grad-check-label-past-classes": lambda: grad_check(
+        _refuse_forward(_head_only_model()), np.zeros((1, *TINY.input_size, 3)), np.array([3])),
+    "grad-check-no-clips": lambda: grad_check(
+        _refuse_forward(_head_only_model()), np.zeros((0, *TINY.input_size, 3)),
+        np.zeros(0, np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BATCHES))
+def test_bad_labels_and_empty_batches_raise_typed_errors(case):
+    with pytest.raises(PETLLabError):
+        BAD_BATCHES[case]()
+
+
+# -- the clip-batch axis -------------------------------------------------------------
+
+
+def _all_four_perturbed(cfg):
+    model = build_model(cfg, seed=3)
+    attach_petl(model, ALL_FOUR, seed=4)
+    freeze_backbone(model, model.petl_spec)
+    r = np.random.default_rng(5)
+    for p in model.registry.trainable():  # off zero-init, so every insert acts
+        p.tensor.data[...] = r.normal(scale=0.1, size=p.shape)
+    return model
+
+
+@pytest.mark.parametrize("cfg_name", ["tiny", "multi_group"])
+def test_batched_forward_equals_stacked_clips_bitwise(cfg_name):
+    cfg = {"tiny": TINY, "multi_group": MULTI_GROUP}[cfg_name]
+    model = _all_four_perturbed(cfg)
+    clips = np.random.default_rng(6).normal(size=(3, *cfg.input_size, 3))
+    with T.no_grad():
+        batched = model.forward(clips).data
+        stacked = np.stack([model.forward(clip).data for clip in clips])
+    assert batched.shape == (3, cfg.num_classes)
+    assert np.array_equal(batched, stacked)
+
+
+@pytest.mark.parametrize("cfg_name", ["tiny", "multi_group"])
+def test_batch_loss_gradient_matches_chained_clip_losses(cfg_name):
+    # Oracle: the per-clip graph, one forward and one cross_entropy per clip,
+    # chained in order. Only the summation order may differ.
+    cfg = {"tiny": TINY, "multi_group": MULTI_GROUP}[cfg_name]
+    model = _all_four_perturbed(cfg)
+    ds = make_dataset(cfg.num_classes, 2, cfg.input_size, seed=7)
+    clips, labels = ds.clips[[0, 3, 5, 1]], ds.labels[[0, 3, 5, 1]]
+
+    def grads(loss):
+        model.zero_grads()
+        loss.backward()
+        return loss.item(), {p.path: p.tensor.grad.copy() for p in model.registry.trainable()}
+
+    batched_loss, batched = grads(_batch_loss(model, clips, labels))
+    total = cross_entropy(model.forward(clips[0]), labels[0])
+    for clip, label in zip(clips[1:], labels[1:]):
+        total = T.add(total, cross_entropy(model.forward(clip), label))
+    chained_loss, chained = grads(T.mul(total, 1.0 / len(labels)))
+
+    assert abs(batched_loss - chained_loss) <= 1e-12 * abs(chained_loss)
+    for path, g in chained.items():
+        assert np.abs(batched[path] - g).max() <= 1e-12 * np.abs(g).max(), path
+
+
 # -- pinned end-to-end digests -------------------------------------------------------
 
 ALL_FOUR = PETLSpec(mechanisms=("prefix", "adapter_parallel", "prompt", "patt"),
@@ -343,16 +440,18 @@ MULTI_GROUP = ModelConfig(input_size=(4, 32, 32), embed_dims=(4, 4, 8, 8),
                           blocks_per_stage=(2, 2, 2, 2), heads_per_stage=(2, 2, 2, 2),
                           window_size=(2, 3, 3), num_classes=3)
 
-# sha256 over held-out logits, and over the training losses plus every
-# trainable weight after 3 Adam steps, computed with one attention call per
-# window (before windows were batched by size).
+# sha256 over held-out logits, computed with one attention call per window
+# (before windows were batched by size), and over the training losses plus
+# every trainable weight after 3 Adam steps, computed with one forward per
+# batch. The per-clip graph summed the batch's gradients in another order;
+# its losses and weights differ from these by at most 2.2e-16 and 7.6e-16.
 PINNED = {
     ("micro", "bapat"): (
         "748b609a5e1e5c365e6e5ca3c37de8cfd01faad1e59bcc1c0a30e798d38dd033",
-        "bdc44f8e660d0026ac8ad6cc5de554054cd3cf564d278da108d130c43f25605b"),
+        "4f25f0a8694f1649df598172d89861ccbfbfae4f034c50ac971fad6728f75de0"),
     ("micro", "all_four"): (
         "6276780b1266b4254c9b10dae653cdf8bde52637ff9d25d6d339532922e3157f",
-        "e40fc1d46d433cb376ebfa54f2f3809c6334105d913579bc9cc69124fa9d2095"),
+        "391c9def0d4bdc6b219e0bc8177b802aece34ebe79121b03c5089c14ad63be39"),
     # Forward only: with several groups, the gradient of rows shared by all
     # windows (prefix, prompt) is summed group by group, a different order.
     ("multi_group", "bapat"): (

@@ -209,7 +209,7 @@ def test_backward_composed_model_vs_finite_differences(rng):
     "add", "add_broadcast", "sub", "mul", "mul_broadcast", "matmul",
     "matmul_batched", "reshape", "transpose", "concat", "gather", "sum_axis",
     "mean", "softmax", "log_softmax", "layer_norm", "relu", "gelu", "tanh",
-    "broadcast_to",
+    "broadcast_to", "gather_axis",
 ])
 def test_per_op_gradients(case, rng):
     # random small shapes (<= 64 elements per operand)
@@ -225,6 +225,7 @@ def test_per_op_gradients(case, rng):
     sign = rng.choice([-1.0, 1.0], size=(4, 6))
     weight = Tensor(rng.normal(size=(4, 6)) + 0.1 * sign)
     idx = rng.integers(0, 4, size=5)
+    window_idx = np.array([[2, 0], [2, 1], [0, 0]])  # a (G, n) index with repeats
 
     cases = {
         "add": (lambda: T.tsum(T.mul(T.add(a, b), T.add(a, b))), [a, b]),
@@ -252,6 +253,9 @@ def test_per_op_gradients(case, rng):
         "tanh": (lambda: T.tsum(T.mul(T.tanh(a), weight)), [a]),
         "broadcast_to": (lambda: T.tsum(T.mul(T.broadcast_to(row, (2, 4, 6)),
                                               T.broadcast_to(a, (2, 4, 6)))), [row, a]),
+        "gather_axis": (lambda: T.tsum(T.mul(T.gather_rows(batched, window_idx, axis=-2),
+                                             T.gather_rows(batched, window_idx, axis=-2))),
+                        [batched]),
     }
     f, leaves = cases[case]
     check_op_grads(f, leaves)
