@@ -251,7 +251,7 @@ def window_attention(x: Tensor, weights: AttentionWeights,
     heads_first = (*range(b), b + 1, b, b + 2)  # (..., rows, heads, hd) <-> (..., heads, rows, hd)
 
     def project(weight: Tensor, offset: Tensor, add: Tensor | None) -> Tensor:
-        out = T.add(T.matmul(x, weight), offset)
+        out = T.linear(x, weight, offset)
         return out if add is None else T.add(out, add)
 
     q = project(weights.w_q, weights.b_q, add_q)
@@ -281,7 +281,7 @@ def window_attention(x: Tensor, weights: AttentionWeights,
     att = T.softmax(logits, axis=-1)
     out = T.matmul(att, vh)
     merged = T.reshape(T.transpose(out, heads_first), (*lead, n, d))
-    return T.add(T.matmul(merged, weights.w_o), weights.b_o)
+    return T.linear(merged, weights.w_o, weights.b_o)
 
 
 @dataclass
@@ -334,8 +334,8 @@ def swin_block(z: Tensor, blk: BlockParams, layout: WindowLayout, hooks=None) ->
     z_hat = T.add(_windowed_attention(ln1, blk, layout, extras), z)
 
     ln2 = T.layer_norm(z_hat, blk.norm2_gamma, blk.norm2_beta, blk.eps)
-    hidden = T.gelu(T.add(T.matmul(ln2, blk.fc1_w), blk.fc1_b))
-    ffn = T.add(T.matmul(hidden, blk.fc2_w), blk.fc2_b)
+    hidden = T.gelu(T.linear(ln2, blk.fc1_w, blk.fc1_b))
+    ffn = T.linear(hidden, blk.fc2_w, blk.fc2_b)
     out = T.add(ffn, z_hat)
     if hooks is not None:
         out = hooks.ffn_output(out, z_hat=z_hat, ln2=ln2, ffn=ffn)
@@ -400,7 +400,7 @@ def patch_embed(video: np.ndarray, cfg: ModelConfig, weight: Tensor,
     (..., t, h, w, channels); tokens are in raster order over the grid
     ``cfg.token_grid()``.
     """
-    return T.add(T.matmul(Tensor(extract_patches(video, cfg)), weight), bias)
+    return T.linear(Tensor(extract_patches(video, cfg)), weight, bias)
 
 
 class VideoSwinModel:
@@ -452,7 +452,7 @@ class VideoSwinModel:
 
         z = T.layer_norm(z, self.norm_gamma, self.norm_beta, cfg.layer_norm_eps)
         pooled = T.tmean(z, axis=-2, keepdims=True)
-        logits = T.add(T.matmul(pooled, self.head_w), self.head_b)
+        logits = T.linear(pooled, self.head_w, self.head_b)
         return T.reshape(logits, (*z.data.shape[:-2], cfg.num_classes))
 
     def zero_grads(self) -> None:

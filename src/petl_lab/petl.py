@@ -176,8 +176,8 @@ class AdapterWeights:
     placement: str  # "parallel" | "sequential"
 
     def branch(self, x: Tensor) -> Tensor:
-        hidden = T.relu(T.add(T.matmul(x, self.w_down), self.b_down))
-        return T.add(T.matmul(hidden, self.w_up), self.b_up)
+        hidden = T.relu(T.linear(x, self.w_down, self.b_down))
+        return T.linear(hidden, self.w_up, self.b_up)
 
 
 @dataclass
@@ -222,10 +222,8 @@ class BlockHooks:
             # Prompt tokens reuse the frozen projections and skip the block
             # norm, so they are exactly prefix rows P@W_k / P@W_v (zero-init
             # projection biases keep the equivalence exact at build time).
-            extra_k_rows.append(T.add(T.matmul(self.petl.prompt, self.attn.w_k),
-                                      self.attn.b_k))
-            extra_v_rows.append(T.add(T.matmul(self.petl.prompt, self.attn.w_v),
-                                      self.attn.b_v))
+            extra_k_rows.append(T.linear(self.petl.prompt, self.attn.w_k, self.attn.b_k))
+            extra_v_rows.append(T.linear(self.petl.prompt, self.attn.w_v, self.attn.b_v))
 
         add_q = add_k = add_v = None
         if self.petl.patt is not None:

@@ -15,6 +15,14 @@ Design constraints honored throughout:
   accumulation in backward) so reruns are bit-identical;
 * a graph may be differentiated once; a second backward over the same
   recorded operations raises :class:`~petl_lab.errors.StaleGraphError`.
+
+Backward consumes its graph. A leaf owns its ``grad``: it copies the first
+contribution and adds later ones in place. An interior node borrows the
+array it is handed (made C-contiguous, as a copy would be) and adds a second
+contribution out of place, so no backward rule may write into a gradient it
+received. As soon as a node's rule has run, its gradient, rule and parents
+are dropped, so saved activations are freed while backward walks the graph;
+the node keeps only its ``_consumed`` mark.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return self._backward_fn is None
+        return self._backward_fn is None and not self._consumed
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -96,18 +104,32 @@ class Tensor:
     # -- gradient bookkeeping -------------------------------------------
 
     def _accum_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
+        if self._backward_fn is None:  # a leaf owns its gradient
+            if self.grad is None:
+                self.grad = g.copy()
+            else:
+                self.grad += g
+        elif self.grad is None:  # an interior node borrows it
+            self.grad = np.ascontiguousarray(g)
         else:
-            self.grad += g
+            self.grad = np.add(self.grad, g, order="C")
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self) -> None:
-        """Fill ``grad`` on every tracked leaf reachable from this scalar."""
+        """Fill ``grad`` on every tracked leaf reachable from this scalar.
+
+        Consumes the graph: each interior node drops its gradient, backward
+        rule and parents once its rule has run, so its saved arrays are freed
+        unless the caller still holds them. Leaves keep their ``grad``. A
+        second backward from this root, or from a graph built on any consumed
+        node, raises :class:`~petl_lab.errors.StaleGraphError`.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
+        if self._consumed:
+            raise StaleGraphError("graph already consumed by a previous backward pass")
         if not self.requires_grad or self._backward_fn is None:
             raise StaleGraphError("backward() on an untracked value; no operations recorded")
 
@@ -132,14 +154,16 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # root first: every consumer runs before its inputs
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
-                node._consumed = True
-        # Intermediate grads are scratch; only leaves keep theirs.
-        for node in topo:
-            if node._backward_fn is not None:
-                node.grad = None
+            node.grad = None
+            node._backward_fn = None
+            node._parents = ()
+            node._consumed = True
 
     # -- operator sugar --------------------------------------------------
 
@@ -246,22 +270,54 @@ def mul(a, b) -> Tensor:
 # -- linear algebra -------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Batched matrix product ``a @ b`` with numpy broadcasting on batch dims."""
-    a, b = _as_tensor(a), _as_tensor(b)
+def _product(a: Tensor, b: Tensor) -> np.ndarray:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    data = a.data @ b.data
+    return a.data @ b.data
+
+
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad:
+        a._accum_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+    if b.requires_grad:
+        b._accum_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+
+def matmul(a, b) -> Tensor:
+    """Batched matrix product ``a @ b`` with numpy broadcasting on batch dims."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = _product(a, b)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            b._accum_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        _matmul_backward(a, b, g)
 
     return _make_op(data, (a, b), backward_fn, "matmul")
+
+
+def linear(x, weight, bias) -> Tensor:
+    """Affine map ``x @ weight + bias`` recorded as one operation.
+
+    Output and gradients equal ``add(matmul(x, weight), bias)`` bit for bit:
+    the bias is added in place into the product, and backward applies the
+    rules of :func:`matmul` and :func:`add`. The graph keeps one node and one
+    array where the two-op form keeps two. ``bias`` must broadcast to the
+    product's shape without enlarging it.
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    data = _product(x, weight)
+    try:
+        data += bias.data
+    except ValueError as exc:
+        raise ShapeError(f"linear bias {bias.shape} does not broadcast to {data.shape}") from exc
+
+    def backward_fn(g):
+        _matmul_backward(x, weight, g)
+        if bias.requires_grad:
+            bias._accum_grad(_unbroadcast(g, bias.data.shape))
+
+    return _make_op(data, (x, weight, bias), backward_fn, "linear")
 
 
 # -- shape manipulation ----------------------------------------------------
@@ -279,7 +335,16 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
+    """Permute axes; entries of ``axes`` may be negative (numpy semantics).
+
+    ``axes`` that are not a permutation of the axes raise
+    :class:`~petl_lab.errors.ShapeError`.
+    """
+    ndim = t.data.ndim
+    given = tuple(axes)
+    axes = tuple(int(a) % ndim if -ndim <= a < ndim else -1 for a in given)
+    if sorted(axes) != list(range(ndim)):
+        raise ShapeError(f"transpose axes {given} are not a permutation of the axes of {t.shape}")
     inverse = tuple(np.argsort(axes))
     data = t.data.transpose(axes)
 
@@ -322,18 +387,36 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
     """Select entries along ``axis``: ``out[..., i, ...] = t[..., index[i], ...]``.
 
     ``index`` may have any shape; it replaces ``axis`` in the output shape
-    (``np.take`` semantics). Repeated indices accumulate in backward.
+    (``np.take`` semantics, negative entries count from the end). An index
+    that does not hold integers, or an entry outside [-n, n), raises
+    :class:`~petl_lab.errors.ShapeError`. Backward scatters by assignment,
+    or accumulates with ``np.add.at`` where ``index`` repeats an entry.
     """
     if not -t.data.ndim <= axis < t.data.ndim:
         raise ShapeError(f"gather_rows axis {axis} invalid for shape {t.shape}")
-    idx = np.asarray(index, dtype=np.intp)
     axis = axis % t.data.ndim
+    n = t.data.shape[axis]
+    idx = np.asarray(index)
+    if idx.size:
+        if idx.dtype.kind not in "iu":
+            raise ShapeError(f"gather_rows index must hold integers, got dtype {idx.dtype}")
+        lo, hi = idx.min(), idx.max()
+        if lo < -n or hi >= n:
+            raise ShapeError(f"gather_rows index {lo}..{hi} outside [{-n}, {n}) "
+                             f"on axis {axis} of shape {t.shape}")
+        if lo < 0:
+            idx = np.where(idx < 0, idx + n, idx)
+    idx = idx.astype(np.intp, copy=False)
     data = np.take(t.data, idx, axis=axis)
 
     def backward_fn(g):
         if t.requires_grad:
             buf = np.zeros_like(t.data)
-            np.add.at(buf, (slice(None),) * axis + (idx,), g)
+            where = (slice(None),) * axis + (idx,)
+            if np.bincount(idx.reshape(-1), minlength=n).max(initial=0) > 1:
+                np.add.at(buf, where, g)
+            else:
+                buf[where] = g
             t._accum_grad(buf)
 
     return _make_op(data, (t,), backward_fn, "gather_rows")

@@ -1,4 +1,6 @@
+import itertools
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -209,7 +211,7 @@ def test_backward_composed_model_vs_finite_differences(rng):
     "add", "add_broadcast", "sub", "mul", "mul_broadcast", "matmul",
     "matmul_batched", "reshape", "transpose", "concat", "gather", "sum_axis",
     "mean", "softmax", "log_softmax", "layer_norm", "relu", "gelu", "tanh",
-    "broadcast_to", "gather_axis",
+    "broadcast_to", "gather_axis", "transpose_negative", "linear",
 ])
 def test_per_op_gradients(case, rng):
     # random small shapes (<= 64 elements per operand)
@@ -226,6 +228,10 @@ def test_per_op_gradients(case, rng):
     weight = Tensor(rng.normal(size=(4, 6)) + 0.1 * sign)
     idx = rng.integers(0, 4, size=5)
     window_idx = np.array([[2, 0], [2, 1], [0, 0]])  # a (G, n) index with repeats
+    # drawn after every other operand, so the older cases keep their values
+    cube = Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
+    cube_weight = Tensor(rng.normal(size=(3, 3, 3)))
+    bias = Tensor(rng.normal(size=2), requires_grad=True)
 
     cases = {
         "add": (lambda: T.tsum(T.mul(T.add(a, b), T.add(a, b))), [a, b]),
@@ -256,9 +262,124 @@ def test_per_op_gradients(case, rng):
         "gather_axis": (lambda: T.tsum(T.mul(T.gather_rows(batched, window_idx, axis=-2),
                                              T.gather_rows(batched, window_idx, axis=-2))),
                         [batched]),
+        "transpose_negative": (lambda: T.tsum(T.mul(T.transpose(cube, (-1, 0, 1)),
+                                                    cube_weight)), [cube]),
+        "linear": (lambda: T.tsum(T.mul(T.linear(batched, m2, bias),
+                                        T.linear(batched, m2, bias))), [batched, m2, bias]),
     }
     f, leaves = cases[case]
     check_op_grads(f, leaves)
+
+
+def test_transpose_negative_axes_and_bad_permutations(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = rng.normal(size=(4, 2, 3))
+    y = T.transpose(x, (-1, 0, 1))
+    assert np.array_equal(y.data, x.data.transpose(2, 0, 1))
+    T.tsum(T.mul(y, Tensor(w))).backward()
+    assert np.array_equal(x.grad, w.transpose(1, 2, 0))
+    for axes in [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1, -4)]:
+        with pytest.raises(ShapeError):
+            T.transpose(x, axes)
+
+
+def test_gather_rows_validates_and_wraps_indices(rng):
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    for bad in [[0, 4], [-5, 1], [1.7], [True, False, True, False]]:
+        with pytest.raises(ShapeError):
+            T.gather_rows(x, bad, axis=1)
+    # -1 and 3 name the same row: it repeats, so its gradients must add
+    index = [-1, 3, 0]
+    y = T.gather_rows(x, index, axis=1)
+    assert np.array_equal(y.data, np.take(x.data, index, axis=1))
+    w = rng.normal(size=y.shape)
+    T.tsum(T.mul(y, Tensor(w))).backward()
+    expected = np.zeros_like(x.data)
+    np.add.at(expected, (slice(None), [3, 3, 0]), w)
+    assert np.array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("w_grad,b_grad", list(itertools.product([True, False], repeat=2)))
+def test_linear_equals_add_of_matmul_bitwise(w_grad, b_grad, rng):
+    x0, w0, b0 = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
+    weight = Tensor(rng.normal(size=(2, 3, 5, 6)))
+    routes = []
+    for op in (lambda x, w, b: T.linear(x, w, b),
+               lambda x, w, b: T.add(T.matmul(x, w), b)):  # the two-op reference
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=w_grad)
+        b = Tensor(b0, requires_grad=b_grad)
+        out = op(x, w, b)
+        T.tsum(T.mul(out, weight)).backward()
+        routes.append([out.data] + [t.grad for t in (x, w, b)])
+    for fused, reference in zip(*routes):
+        if reference is None:
+            assert fused is None
+        else:
+            assert fused.tobytes() == reference.tobytes()
+
+
+def test_linear_rejects_bad_shapes():
+    x, w = Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 6)))
+    for bad_x, bad_w, bad_b in [(x, Tensor(np.zeros((3, 6))), np.zeros(6)),
+                                (x, w, np.zeros(5)),          # does not broadcast
+                                (x, w, np.zeros((2, 5, 6)))]:  # would enlarge the output
+        with pytest.raises(ShapeError):
+            T.linear(bad_x, bad_w, Tensor(bad_b))
+
+
+def test_gather_scatter_without_repeats_equals_add_at(rng):
+    x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+    perm = rng.permutation(6)
+    for index in (perm, perm.reshape(2, 3)):  # a permutation, then a (G, n) index
+        x.zero_grad()
+        y = T.gather_rows(x, index, axis=-2)
+        w = rng.normal(size=y.shape)
+        T.tsum(T.mul(y, Tensor(w))).backward()
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, (slice(None), index), w)  # the accumulating reference
+        # equal, not bitwise: assignment keeps a -0.0 that add.at on zeros makes +0.0
+        assert np.array_equal(x.grad, expected)
+
+
+def test_leaves_never_share_gradients(rng):
+    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    T.tsum(T.add(a, b)).backward()
+    assert a.grad is not b.grad
+    a.grad += 1.0
+    assert np.array_equal(b.grad, np.ones((3, 2)))
+    a.zero_grad()
+    w = rng.normal(size=(3, 2))
+    T.tsum(T.mul(T.add(a, a), Tensor(w))).backward()
+    assert np.array_equal(a.grad, 2.0 * w)
+
+
+def test_interior_nodes_borrowing_one_gradient_stay_independent(rng):
+    # add(p, q) hands one array to both p and q; each later receives a second
+    # contribution, which must not be added into the array the other borrowed
+    x = Tensor(rng.normal(size=3), requires_grad=True)
+    z = Tensor(rng.normal(size=3), requires_grad=True)
+    w, v = rng.normal(size=3), rng.normal(size=3)
+    p, q = T.mul(x, 2.0), T.mul(z, 3.0)
+    s = T.add(p, q)
+    T.tsum(T.add(T.mul(s, Tensor(w)), T.add(T.mul(p, Tensor(v)), q))).backward()
+    np.testing.assert_allclose(x.grad, 2.0 * (w + v), rtol=1e-15)
+    np.testing.assert_allclose(z.grad, 3.0 * (w + 1.0), rtol=1e-15)
+
+
+def test_backward_frees_the_graph(rng):
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    hidden = T.tanh(x)
+    saved = weakref.ref(hidden.data)
+    loss = T.tsum(T.mul(hidden, hidden))
+    del hidden
+    loss.backward()
+    assert saved() is None  # freed while the root is still referenced
+    assert not loss.is_leaf
+    np.testing.assert_allclose(x.grad, 2.0 * np.tanh(x.data) * (1.0 - np.tanh(x.data) ** 2))
+    with pytest.raises(StaleGraphError, match="already consumed"):
+        loss.backward()
 
 
 # -- determinism and error states ---------------------------------------------
