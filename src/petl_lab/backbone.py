@@ -96,6 +96,10 @@ class ModelConfig:
         n = self.num_stages
         if not (len(self.blocks_per_stage) == len(self.heads_per_stage) == n):
             raise ConfigError("embed_dims, blocks_per_stage, heads_per_stage lengths differ")
+        if not (len(self.input_size) == len(self.patch_size) == len(self.window_size) == 3):
+            raise ConfigError("input, patch and window sizes need 3 extents (t, h, w)")
+        if any(heads < 1 for heads in self.heads_per_stage):
+            raise ConfigError("every stage needs at least one head")
         for d, heads in zip(self.embed_dims, self.heads_per_stage):
             if d % heads:
                 raise ConfigError(f"stage dim {d} not divisible by {heads} heads")

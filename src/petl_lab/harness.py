@@ -222,15 +222,25 @@ def _batch_loss(model, clips: np.ndarray, labels: np.ndarray) -> Tensor:
     return T.mul(cross_entropy(model.forward(clips), labels), 1.0 / len(labels))
 
 
-def evaluate(model, dataset: SyntheticVideoDataset) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
+def evaluate(model, dataset: SyntheticVideoDataset,
+             batch_size: int = OptimizerConfig.batch_size) -> float:
+    """Top-1 accuracy; argmax ties resolve to the lowest class index.
+
+    Clips go through one no-grad forward per chunk of ``batch_size``
+    (``clips[s:s + batch_size]``; the last chunk may be shorter). A no-grad
+    forward holds no graph, so at a training run's batch size evaluation
+    peaks below one of its training steps. Batched logits equal per-clip
+    logits bit for bit, so the chunk size never changes the result.
+    """
     if len(dataset) == 0:
         raise ConfigError("evaluate on an empty dataset")
+    if batch_size < 1:
+        raise ConfigError("evaluate batch size must be >= 1")
     hits = 0
     with T.no_grad():
-        for clip, label in zip(dataset.clips, dataset.labels):
-            pred = int(np.argmax(model.forward(clip).data))
-            hits += pred == int(label)
+        for s in range(0, len(dataset), batch_size):
+            logits = model.forward(dataset.clips[s:s + batch_size]).data
+            hits += int((logits.argmax(axis=-1) == dataset.labels[s:s + batch_size]).sum())
     return hits / len(dataset)
 
 
@@ -240,7 +250,8 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
 
     Only parameters with gradient tracking enabled are updated; everything
     else is untouched down to the bit. A fixed seed fixes the batch sequence,
-    so reruns reproduce the history exactly.
+    so reruns reproduce the history exactly. Evaluations run in chunks of
+    ``opt.batch_size`` clips, so none outgrows a training step.
     """
     opt.validate()
     trainable = model.registry.trainable()
@@ -251,6 +262,13 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
     rng = np.random.default_rng(seed)
     history = TrainHistory(trainable_count=sum(p.count for p in trainable))
 
+    def record_evals(step: int) -> None:
+        history.evals.append((
+            step,
+            evaluate(model, dataset, opt.batch_size),
+            None if eval_dataset is None else evaluate(model, eval_dataset, opt.batch_size),
+        ))
+
     start = time.perf_counter()
     for step in range(1, opt.steps + 1):
         batch = rng.integers(0, len(dataset), size=opt.batch_size)
@@ -260,17 +278,9 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
         optimizer.step(trainable)
         history.losses.append(loss.item())
         if opt.eval_every and step % opt.eval_every == 0 and step < opt.steps:
-            history.evals.append((
-                step,
-                evaluate(model, dataset),
-                evaluate(model, eval_dataset) if eval_dataset is not None else None,
-            ))
+            record_evals(step)
     model.zero_grads()
-    history.evals.append((
-        opt.steps,
-        evaluate(model, dataset),
-        evaluate(model, eval_dataset) if eval_dataset is not None else None,
-    ))
+    record_evals(opt.steps)
     history.wall_seconds = time.perf_counter() - start
     return history
 

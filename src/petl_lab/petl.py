@@ -124,22 +124,16 @@ class PETLSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "PETLSpec":
-        sites = d.get("sites", "KV")
-        if isinstance(sites, str):
-            sites = tuple(sites)
-        return PETLSpec(
-            mechanisms=tuple(d.get("mechanisms", ())),
-            d_bottle=int(d.get("d_bottle", 16)),
-            d_middle=(None if d.get("d_middle") is None else int(d["d_middle"])),
-            d_token=int(d.get("d_token", 4)),
-            d_prompt=int(d.get("d_prompt", 4)),
-            s_adapter=float(d.get("s_adapter", 0.8)),
-            s_patt=float(d.get("s_patt", 0.8)),
-            patt_sites=tuple(sites),
-            tune_head=bool(d.get("tune_head", True)),
-            attach_stages=(None if d.get("attach_stages") is None
-                           else tuple(bool(x) for x in d["attach_stages"])),
-        )
+        """Spec from a type-checked config section; absent keys keep their defaults.
+
+        ``sites`` (a string such as ``"KV"`` or a sequence of sites) becomes
+        ``patt_sites``; lists become tuples.
+        """
+        kw = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in d.items() if k != "sites"}
+        if "sites" in d:
+            kw["patt_sites"] = tuple(d["sites"])
+        return PETLSpec(**kw)
 
 
 @dataclass

@@ -1,11 +1,16 @@
+import contextlib
 import copy
+import io
 import json
+import threading
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from petl_lab import ConfigError, head_count
+from petl_lab import ConfigError, experiment, head_count
 from petl_lab.cli import main as cli_main
 from petl_lab.experiment import (TradeoffReport, config_from_dict, config_to_dict,
                                  emit_counts, parse_config, plot_tradeoff,
@@ -110,6 +115,137 @@ def test_empty_config_rejected(tmp_path):
         parse_config(path)
 
 
+def set_leaf(raw, path, value):
+    """Set the value at a path of keys and list indices in a nested config."""
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("key,value", [
+    ("parallel", "no"),
+    ("petl.tune_head", "false"),
+    ("dataset.per_class", 2.7),
+    ("seed", 1.9),
+    ("optimizer.steps", True),
+    ("dataset.n_classes", "four"),
+    ("model.input", 8),
+    ("dataset", None),
+])
+def test_config_scalars_are_type_checked(tmp_path, capsys, key, value):
+    raw = make_config()
+    set_leaf(raw, key.split("."), value)
+    config_path = write_config(tmp_path, raw)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(config_path)
+    assert cli_main(["count", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+# Every key a config may set, each with a valid value of its kind.
+FULL = {
+    "schema_version": 1, "seed": 3, "output_dir": "petl_lab_out", "parallel": False,
+    "model": {"preset": "swin-micro", "input": [4, 32, 32], "patch": [2, 4, 4],
+              "dims": [4, 4, 8, 8], "blocks": [1, 1, 2, 1], "heads": [2, 2, 2, 2],
+              "window": [2, 2, 2], "ffn_ratio": 4, "num_classes": 3},
+    "petl": {"mechanisms": ["adapter_parallel", "patt"], "d_bottle": 2, "d_middle": 2,
+             "d_token": 2, "d_prompt": 2, "s_adapter": 0.8, "s_patt": 0.5, "sites": "KV",
+             "tune_head": True, "attach_stages": [True, True, False, True]},
+    "dataset": {"n_classes": 3, "per_class": 2, "eval_per_class": 1, "frames": 4,
+                "height": 32, "width": 32, "noise": 0.05},
+    "optimizer": {"kind": "adam", "lr": 0.001, "momentum": 0.9, "beta1": 0.9,
+                  "beta2": 0.999, "eps": 1e-8, "steps": 2, "batch_size": 2,
+                  "eval_every": 1},
+    "ablation": {"d_bottle": [2, 4], "s": [0.5, 1.0], "sites": ["KV", "QKV"],
+                 "frames": [4]},
+}
+NULLABLE = {("output_dir",), ("petl", "d_middle")}
+
+
+def scalar_leaves(node, path=()):
+    """(path, value) of every scalar in a nested config, list entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from scalar_leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+LEAVES = list(scalar_leaves(FULL))
+
+_TEXT = st.text(max_size=6)
+_FLOATS = st.floats()
+_LISTS = st.lists(st.integers(), max_size=2)
+# values of the wrong type for a leaf, by the type of its valid value; an int
+# is a valid float
+_WRONG = {
+    int: st.one_of(_TEXT, _FLOATS, st.booleans(), _LISTS),
+    float: st.one_of(_TEXT, st.booleans(), _LISTS),
+    bool: st.one_of(_TEXT, st.integers(), _FLOATS, _LISTS),
+    str: st.one_of(st.integers(), _FLOATS, st.booleans(), _LISTS),
+}
+
+
+def count_exit_code(out, raw):
+    """Exit code and standard error of ``petl-lab count`` on ``raw`` written to
+    ``out``; an exception escaping the CLI fails the calling test."""
+    config_path = out / "exp.yaml"
+    config_path.write_text(yaml.safe_dump(raw))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["count", "--config", str(config_path), "--out", str(out)])
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_wrong_type_leaf_is_a_config_error(tmp_path_factory, data):
+    config_from_dict(copy.deepcopy(FULL))  # the unmutated config is valid
+    path, valid = data.draw(st.sampled_from(LEAVES), label="leaf")
+    wrong = _WRONG[type(valid)]
+    if path not in NULLABLE:
+        wrong = st.one_of(wrong, st.none())
+    raw = copy.deepcopy(FULL)
+    set_leaf(raw, path, data.draw(wrong, label="value"))
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+    code, err = count_exit_code(tmp_path_factory.mktemp("fuzz"), raw)
+    assert code == 2 and "config error" in err
+
+
+def list_nodes(node, path=()):
+    """(path, value) of every list in a nested config."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from list_nodes(value, path + (key,))
+        elif isinstance(value, list):
+            yield path + (key,), value
+
+
+NUMBER_LEAVES = [path for path, value in LEAVES if type(value) in (int, float)]
+LISTS = list(list_nodes(FULL))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_right_type_wrong_value_is_valid_or_a_config_error(tmp_path_factory,
+                                                                       data):
+    # a number set to a small value (zero and negatives included), or a list
+    # emptied, shortened or lengthened: either a valid config or exit 2
+    raw = copy.deepcopy(FULL)
+    if data.draw(st.booleans(), label="number"):
+        path = data.draw(st.sampled_from(NUMBER_LEAVES), label="leaf")
+        set_leaf(raw, path, data.draw(st.integers(-2, 2), label="value"))
+    else:
+        path, values = data.draw(st.sampled_from(LISTS), label="list")
+        size = data.draw(st.integers(0, len(values) + 1), label="size")
+        set_leaf(raw, path, (values * 2)[:size])
+    code, err = count_exit_code(tmp_path_factory.mktemp("fuzz"), raw)
+    assert code in (0, 2), err
+
+
 # -- runner ------------------------------------------------------------------------
 
 
@@ -162,6 +298,37 @@ def test_parallel_mode_prints_each_run(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0].strip() for line in lines[1:]] == ["run000", "run001"]
     assert [r.run_id for r in report.rows] == ["run000", "run001"]
+
+
+def test_parallel_key_runs_every_run_on_the_calling_thread(tmp_path, monkeypatch):
+    calls = []
+    execute_run = experiment.execute_run
+
+    def recorded(cfg, index, *args):
+        calls.append((threading.get_ident(), index))
+        return execute_run(cfg, index, *args)
+
+    monkeypatch.setattr(experiment, "execute_run", recorded)
+    raw = make_config(ablation={"d_bottle": [2, 4]}, parallel=True)
+    run_experiment(parse_config(write_config(tmp_path, raw)), out_dir=tmp_path / "p",
+                   quiet=True)
+    assert calls == [(threading.get_ident(), 0), (threading.get_ident(), 1)]
+
+
+def test_datasets_generated_once_per_frame_count(tmp_path, monkeypatch):
+    shapes = []
+    make_dataset = experiment.make_dataset
+
+    def counted(n_classes, per_class, clip_shape, **kwargs):
+        shapes.append(clip_shape)
+        return make_dataset(n_classes, per_class, clip_shape, **kwargs)
+
+    monkeypatch.setattr(experiment, "make_dataset", counted)
+    raw = make_config(ablation={"d_bottle": [2, 4], "frames": [4, 8]})
+    report = run_experiment(parse_config(write_config(tmp_path, raw)),
+                            out_dir=tmp_path / "out", quiet=True)
+    assert [r.frames for r in report.rows] == [4, 8, 4, 8]
+    assert sorted(shapes) == [(4, 32, 32)] * 2 + [(8, 32, 32)] * 2
 
 
 def test_class_count_mismatch_rejected(tmp_path):

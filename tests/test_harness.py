@@ -71,16 +71,18 @@ def test_classes_recoverable_from_motion_statistics():
 
 
 class OracleModel:
-    """Emits the one-hot of the true label (looked up by clip identity)."""
+    """Emits the one-hot of each clip's true label (looked up by clip identity)."""
 
     def __init__(self, dataset, n_classes):
         self.table = {ds_clip.tobytes(): int(label)
                       for ds_clip, label in zip(dataset.clips, dataset.labels)}
         self.n = n_classes
 
-    def forward(self, clip):
-        onehot = np.zeros(self.n)
-        onehot[self.table[np.asarray(clip).tobytes()]] = 1.0
+    def forward(self, clips):
+        """Clips (B, ...) to logits (B, n_classes)."""
+        onehot = np.zeros((len(clips), self.n))
+        for row, clip in zip(onehot, np.asarray(clips)):
+            row[self.table[clip.tobytes()]] = 1.0
         return Tensor(onehot)
 
 
@@ -88,8 +90,9 @@ class ConstantModel:
     def __init__(self, n_classes):
         self.n = n_classes
 
-    def forward(self, clip):
-        return Tensor(np.zeros(self.n))
+    def forward(self, clips):
+        """Clips (B, ...) to all-zero logits (B, n_classes)."""
+        return Tensor(np.zeros((len(clips), self.n)))
 
 
 def test_evaluate_perfect_model_is_one():
@@ -110,6 +113,52 @@ def test_evaluate_matches_scripted_accuracy(rng):
         logits = np.stack([model.forward(c).data for c in ds.clips])
     scripted = float((logits.argmax(axis=1) == ds.labels).mean())
     assert got == scripted
+
+
+def counting_forwards(monkeypatch, model):
+    """Record how many clips each of ``model``'s forwards takes, and whether it
+    ran without gradient tracking."""
+    calls = []
+    forward = model.forward
+
+    def counted(clips):
+        calls.append((int(np.prod(np.shape(clips)[:-4])), not T.grad_enabled()))
+        return forward(clips)
+
+    monkeypatch.setattr(model, "forward", counted)
+    return calls
+
+
+def test_evaluate_forwards_no_grad_chunks(monkeypatch):
+    # 15 clips at batch_size=4: chunks of 4, 4, 4 and a partial 3
+    model = build_model(TINY, seed=3)
+    ds = make_dataset(3, 5, TINY.input_size, seed=5)
+    with T.no_grad():
+        logits = np.stack([model.forward(c).data for c in ds.clips])
+    scripted = float((logits.argmax(axis=1) == ds.labels).mean())
+    calls = counting_forwards(monkeypatch, model)
+    assert evaluate(model, ds, batch_size=4) == scripted
+    assert calls == [(4, True), (4, True), (4, True), (3, True)]
+
+
+def test_train_evaluates_at_most_a_batch_at_once(monkeypatch):
+    model = _head_only_model(seed=6)
+    ds = make_dataset(3, 3, TINY.input_size, seed=6)
+    held_out = make_dataset(3, 1, TINY.input_size, seed=7)
+    opt = OptimizerConfig(lr=1e-3, steps=2, batch_size=2, eval_every=1)
+    calls = counting_forwards(monkeypatch, model)
+    train(model, ds, opt, seed=6, eval_dataset=held_out)
+    evaluated = [n for n, no_grad in calls if no_grad]
+    # two evaluation points, each over the 9 training and 3 held-out clips
+    assert sum(evaluated) == 2 * (len(ds) + len(held_out))
+    assert max(evaluated) <= opt.batch_size
+    assert [n for n, no_grad in calls if not no_grad] == [opt.batch_size] * opt.steps
+
+
+def test_evaluate_rejects_bad_batch_size():
+    ds = make_dataset(3, 1, (2, 8, 8), seed=1)
+    with pytest.raises(ConfigError, match="batch size"):
+        evaluate(ConstantModel(3), ds, batch_size=0)
 
 
 # -- training ----------------------------------------------------------------------
