@@ -21,7 +21,9 @@ batched attention call over leading (clip, window) axes, as in Swin and
 Video Swin, without padding.
 
 Fine-tuning modules plug in through a per-block hooks object (see
-:mod:`petl_lab.petl`); the backbone only defines the call surface.
+:mod:`petl_lab.petl`) whose ``attention_extras`` and ``ffn_output`` edit the
+block; a block without inserts has ``None`` hooks and runs bare. The backbone
+only defines the call surface.
 """
 
 from __future__ import annotations

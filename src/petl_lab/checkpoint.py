@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -30,7 +31,11 @@ _DTYPE = np.dtype("<f8")
 
 
 def save_checkpoint(model, path: str) -> None:
-    """Write every registered parameter of ``model`` to ``path``."""
+    """Write every registered parameter of ``model`` to ``path``, atomically.
+
+    The file is written to a sibling ``.tmp`` file and then renamed onto
+    ``path``, so a failed write leaves any earlier checkpoint intact.
+    """
     entries = []
     offset = 0
     blobs = []
@@ -45,11 +50,20 @@ def save_checkpoint(model, path: str) -> None:
         blobs.append(raw)
         offset += len(raw)
     manifest = {"format": _FORMAT, "version": _VERSION, "entries": entries}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for raw in blobs:
-            fh.write(raw)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            for raw in blobs:
+                fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_entries(path: str) -> list[tuple[dict, np.ndarray]]:

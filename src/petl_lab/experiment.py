@@ -326,6 +326,12 @@ class RunRow:
     seed: int
 
 
+# The kind of every value of a report.json row, in the config schemas' terms.
+_ROW_SCHEMA = {"run_id": str, "mechanism": str, "d_bottle": int, "s": float, "sites": str,
+               "frames": int, "trainable_params": int, "trainable_millions": float,
+               "train_top1": float, "eval_top1": (float, None), "wall_seconds": float,
+               "seed": int}
+
 REPORT_COLUMNS = ("run_id", "mechanism", "d_bottle", "s", "sites", "frames",
                   "trainable_params", "trainable_millions", "train_top1",
                   "eval_top1", "seed")
@@ -358,10 +364,21 @@ class TradeoffReport:
 
     @staticmethod
     def read_json(path) -> "TradeoffReport":
-        with open(path) as fh:
-            payload = json.load(fh)
-        rows = [RunRow(**row) for row in payload["rows"]]
-        return TradeoffReport(rows=rows)
+        """Read a :meth:`write_json` report; a malformed one raises ConfigError."""
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"unreadable report {path}: {exc}") from exc
+        rows = payload.get("rows") if isinstance(payload, dict) else None
+        _require(isinstance(rows, list), f"report {path} has no 'rows' list")
+        out = []
+        for k, row in enumerate(rows):
+            row = _mapping(row, _ROW_SCHEMA, f"rows[{k}]")
+            missing = sorted(set(_ROW_SCHEMA) - set(row))
+            _require(not missing, f"report {path}: 'rows[{k}]' lacks {missing}")
+            out.append(RunRow(**row))
+        return TradeoffReport(rows=out)
 
 
 def resolve_output_dir(cfg_dir: str | None, flag_dir: str | None) -> Path:
@@ -407,11 +424,8 @@ def execute_run(cfg: ExperimentConfig, index: int, d_bottle: int, s: float,
     run_seed = cfg.seed + index
     model_cfg = _combo_model_cfg(cfg, frames)
     spec = _combo_spec(cfg, d_bottle, s, sites)
-    spec.validate(model_cfg)
-
     model = build_model(model_cfg, seed=run_seed)
-    if spec.mechanisms:
-        attach_petl(model, spec, seed=run_seed + 1)
+    attach_petl(model, spec, seed=run_seed + 1)
     freeze_backbone(model, spec)
 
     history = train(model, train_ds, cfg.optimizer, seed=run_seed, eval_dataset=eval_ds)
@@ -543,8 +557,7 @@ def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False, eps: float = 1e-5)
                       (cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width),
                       seed=cfg.seed, noise=cfg.dataset.noise)
     model = build_model(cfg.model, seed=cfg.seed)
-    if cfg.petl.mechanisms:
-        attach_petl(model, cfg.petl, seed=cfg.seed + 1)
+    attach_petl(model, cfg.petl, seed=cfg.seed + 1)
     freeze_backbone(model, cfg.petl)
     err = grad_check(model, ds.clips[:2], ds.labels[:2], eps=eps)
     if not quiet:

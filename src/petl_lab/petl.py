@@ -1,17 +1,24 @@
 """Pluggable parameter-efficient fine-tuning modules.
 
-Four mechanisms attach to backbone blocks:
+Every mechanism makes one of two edits to a block. It either adds key/value
+rows to every window's attention:
 
-* **prefix**: learnable key/value rows, run through a two-layer Tanh
-  transform, concatenated to every window's keys and values;
-* **adapter** (parallel or sequential): a ReLU bottleneck whose scaled output
-  is added to the block output; the parallel variant reads the FFN's
-  normalized input, the sequential variant reads the FFN output;
+* **prefix**: learnable rows run through a shared two-layer Tanh network;
 * **prompt**: learnable tokens projected by the block's own (frozen) key and
-  value weights and appended to every window's keys/values; prompt positions
-  emit no outputs;
+  value weights; prompt positions emit no outputs;
+
+or it adds a scaled branch:
+
 * **patt** (parallel attention): a shared Tanh bottleneck producing additive
-  corrections to the projected Q/K/V at configurable sites, scaled by ``s``.
+  corrections to the projected Q/K/V at configurable sites, scaled by
+  ``s_patt``;
+* **adapter** (parallel or sequential): a ReLU bottleneck whose output, scaled
+  by ``s_adapter``, is added to the block output; the parallel variant reads
+  the FFN's normalized input, the sequential variant reads the FFN output.
+
+:func:`petl_parameter_plan` names every insert weight. :class:`BlockHooks`
+holds a block's weights by those plan names and builds both edits from them;
+a block the plan gives no insert has no hooks at all.
 
 Zero-neutrality: ``d_token=0`` / ``d_prompt=0`` attach nothing, zero up
 projections and ``s=0`` contribute exact-zero additions, so the modified
@@ -136,144 +143,77 @@ class PETLSpec:
         return PETLSpec(**kw)
 
 
-@dataclass
-class PrefixBank:
-    """Learnable prefix rows plus the shared two-layer Tanh transform.
+class BlockHooks:
+    """One block's inserts on the backbone's hook call surface.
 
-    With ``transform=False`` the stored rows are used verbatim (raw prefix
-    mode; makes prompt tokens expressible as a prefix configuration).
+    ``weights`` maps the plan names under the block's
+    ``stages.{i}.blocks.{j}.petl.`` prefix (``"adapter.down.weight"``,
+    ``"prefix.p_k"``, ``"patt.up_k.weight"``, ...) to their tensors; the names
+    held are the inserts the block has, and the ``patt.up_*`` names are its
+    PATT sites. ``spec`` supplies the branch scales and the adapter placement.
     """
 
-    p_k: Tensor   # (d_token, d)
-    p_v: Tensor   # (d_token, d)
-    w_pk: Tensor | None  # (d, d_middle)
-    w_pv: Tensor | None  # (d_middle, d)
-    transform: bool = True
-
-    def transformed(self) -> tuple[Tensor, Tensor]:
-        if not self.transform:
-            return self.p_k, self.p_v
-        k = T.matmul(T.tanh(T.matmul(self.p_k, self.w_pk)), self.w_pv)
-        v = T.matmul(T.tanh(T.matmul(self.p_v, self.w_pk)), self.w_pv)
-        return k, v
-
-
-@dataclass
-class AdapterWeights:
-    """ReLU bottleneck: down-projection, up-projection, and branch scale."""
-
-    w_down: Tensor
-    b_down: Tensor
-    w_up: Tensor
-    b_up: Tensor
-    s: float
-    placement: str  # "parallel" | "sequential"
-
-    def branch(self, x: Tensor) -> Tensor:
-        hidden = T.relu(T.linear(x, self.w_down, self.b_down))
-        return T.linear(hidden, self.w_up, self.b_up)
-
-
-@dataclass
-class PattWeights:
-    """Shared Tanh bottleneck with one up-projection per insertion site."""
-
-    w_down: Tensor
-    w_up: dict[str, Tensor]  # keyed by site, subset of {"Q", "K", "V"}
-    s: float
-
-    def corrections(self, ln_tokens: Tensor) -> dict[str, Tensor]:
-        hidden = T.tanh(T.matmul(ln_tokens, self.w_down))
-        return {site: T.mul(T.matmul(hidden, w), self.s)
-                for site, w in self.w_up.items()}
-
-
-@dataclass
-class BlockPETL:
-    """All fine-tuning inserts attached to one block."""
-
-    prefix: PrefixBank | None = None
-    adapter: AdapterWeights | None = None
-    prompt: Tensor | None = None
-    patt: PattWeights | None = None
-
-
-class BlockHooks:
-    """Adapts a block's PETL inserts to the backbone's hook call surface."""
-
-    def __init__(self, petl: BlockPETL, attn: AttentionWeights):
-        self.petl = petl
+    def __init__(self, weights: dict[str, Tensor], spec: PETLSpec, attn: AttentionWeights):
+        self.weights = weights
         self.attn = attn
+        self.s_adapter = spec.s_adapter
+        self.s_patt = spec.s_patt
+        self.adapter_reads_ln2 = "adapter_parallel" in spec.mechanisms
+        self.patt_sites = tuple(site for site in "qkv" if f"patt.up_{site}.weight" in weights)
 
     def attention_extras(self, ln_tokens: Tensor) -> AttentionExtras:
-        extra_k_rows: list[Tensor] = []
-        extra_v_rows: list[Tensor] = []
-        if self.petl.prefix is not None:
-            pk, pv = self.petl.prefix.transformed()
-            extra_k_rows.append(pk)
-            extra_v_rows.append(pv)
-        if self.petl.prompt is not None:
+        w = self.weights
+        k_rows: list[Tensor] = []
+        v_rows: list[Tensor] = []
+        if "prefix.p_k" in w:
+            for rows, p in ((k_rows, w["prefix.p_k"]), (v_rows, w["prefix.p_v"])):
+                rows.append(T.matmul(T.tanh(T.matmul(p, w["prefix.w_pk"])), w["prefix.w_pv"]))
+        if "prompt.tokens" in w:
             # Prompt tokens reuse the frozen projections and skip the block
             # norm, so they are exactly prefix rows P@W_k / P@W_v (zero-init
             # projection biases keep the equivalence exact at build time).
-            extra_k_rows.append(T.linear(self.petl.prompt, self.attn.w_k, self.attn.b_k))
-            extra_v_rows.append(T.linear(self.petl.prompt, self.attn.w_v, self.attn.b_v))
+            k_rows.append(T.linear(w["prompt.tokens"], self.attn.w_k, self.attn.b_k))
+            v_rows.append(T.linear(w["prompt.tokens"], self.attn.w_v, self.attn.b_v))
 
-        add_q = add_k = add_v = None
-        if self.petl.patt is not None:
-            corr = self.petl.patt.corrections(ln_tokens)
-            add_q = corr.get("Q")
-            add_k = corr.get("K")
-            add_v = corr.get("V")
+        add: dict[str, Tensor] = {}
+        if self.patt_sites:
+            hidden = T.tanh(T.matmul(ln_tokens, w["patt.down.weight"]))
+            for site in self.patt_sites:
+                add[site] = T.mul(T.matmul(hidden, w[f"patt.up_{site}.weight"]), self.s_patt)
 
-        extra_k = extra_v = None
-        if extra_k_rows:
-            extra_k = extra_k_rows[0] if len(extra_k_rows) == 1 else T.concat(extra_k_rows, 0)
-            extra_v = extra_v_rows[0] if len(extra_v_rows) == 1 else T.concat(extra_v_rows, 0)
+        extra_k, extra_v = (None if not rows else rows[0] if len(rows) == 1
+                            else T.concat(rows, 0) for rows in (k_rows, v_rows))
         return AttentionExtras(extra_k=extra_k, extra_v=extra_v,
-                               add_q=add_q, add_k=add_k, add_v=add_v)
+                               add_q=add.get("q"), add_k=add.get("k"), add_v=add.get("v"))
 
     def ffn_output(self, out: Tensor, z_hat: Tensor, ln2: Tensor, ffn: Tensor) -> Tensor:
-        adapter = self.petl.adapter
-        if adapter is None:
+        w = self.weights
+        if "adapter.down.weight" not in w:
             return out
-        source = ln2 if adapter.placement == "parallel" else ffn
-        return T.add(out, T.mul(adapter.branch(source), adapter.s))
+        source = ln2 if self.adapter_reads_ln2 else ffn
+        hidden = T.relu(T.linear(source, w["adapter.down.weight"], w["adapter.down.bias"]))
+        branch = T.linear(hidden, w["adapter.up.weight"], w["adapter.up.bias"])
+        return T.add(out, T.mul(branch, self.s_adapter))
 
 
 def attach_petl(model: VideoSwinModel, spec: PETLSpec, seed: int = 1) -> VideoSwinModel:
-    """Allocate the spec's inserts from :func:`petl_parameter_plan` and wire up the hooks.
+    """Allocate the spec's inserts from :func:`petl_parameter_plan` and hook up their blocks.
 
-    Uses its own RNG stream, so the backbone weights for a given backbone
-    seed are unchanged by attaching. Returns the same model instance.
+    A block gets :class:`BlockHooks` only if the plan gave it an insert, so
+    a spec that allocates nothing leaves every hook ``None``. Uses its own
+    RNG stream, so the backbone weights for a given backbone seed are
+    unchanged by attaching. Returns the same model instance.
     """
-    cfg = model.cfg
-    spec.validate(cfg)
-    reg = model.registry
-    allocate(reg, petl_parameter_plan(cfg, spec), np.random.default_rng(seed))
-    placement = "parallel" if "adapter_parallel" in spec.mechanisms else "sequential"
-    mask = spec.attach_mask(cfg)
-    for i in range(cfg.num_stages):
-        if not mask[i]:
-            continue
-        for j in range(cfg.blocks_per_stage[i]):
+    spec.validate(model.cfg)
+    plan = petl_parameter_plan(model.cfg, spec)
+    allocate(model.registry, plan, np.random.default_rng(seed))
+    for i, stage in enumerate(model.stages):
+        for j, blk in enumerate(stage.blocks):
             base = f"stages.{i}.blocks.{j}.petl."
-            w = {p.path[len(base):]: p.tensor for p in reg if p.path.startswith(base)}
-            petl = BlockPETL()
-            if "adapter.down.weight" in w:
-                petl.adapter = AdapterWeights(
-                    w_down=w["adapter.down.weight"], b_down=w["adapter.down.bias"],
-                    w_up=w["adapter.up.weight"], b_up=w["adapter.up.bias"],
-                    s=spec.s_adapter, placement=placement)
-            if "patt.down.weight" in w:
-                ups = {site: w[f"patt.up_{site.lower()}.weight"]
-                       for site in PATT_SITES if site in spec.patt_sites}
-                petl.patt = PattWeights(w_down=w["patt.down.weight"], w_up=ups, s=spec.s_patt)
-            if "prefix.p_k" in w:
-                petl.prefix = PrefixBank(p_k=w["prefix.p_k"], p_v=w["prefix.p_v"],
-                                         w_pk=w["prefix.w_pk"], w_pv=w["prefix.w_pv"])
-            petl.prompt = w.get("prompt.tokens")
-            model.hooks[i][j] = BlockHooks(petl, model.stages[i].blocks[j].attn)
+            weights = {path[len(base):]: model.registry.get(path).tensor
+                       for path, _ in plan if path.startswith(base)}
+            if weights:
+                model.hooks[i][j] = BlockHooks(weights, spec, blk.attn)
     model.petl_spec = spec
     return model
 

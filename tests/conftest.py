@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from petl_lab import ModelConfig
+from petl_lab.backbone import AttentionExtras
 
 # Four stages, one shifted block (stage 2, block 1), small enough for
 # second-implementation oracles and full-model finite differences.
@@ -34,3 +35,17 @@ def rng():
 
 def random_clip(rng, cfg: ModelConfig) -> np.ndarray:
     return rng.normal(size=(*cfg.input_size, cfg.in_channels))
+
+
+class FixedRows:
+    """Hook double: serves fixed key/value rows to a block and leaves its FFN output."""
+
+    def __init__(self, extra_k, extra_v):
+        self.extra_k = extra_k
+        self.extra_v = extra_v
+
+    def attention_extras(self, ln_tokens):
+        return AttentionExtras(extra_k=self.extra_k, extra_v=self.extra_v)
+
+    def ffn_output(self, out, z_hat, ln2, ffn):
+        return out

@@ -17,9 +17,9 @@ import petl_lab as pl
 from petl_lab import tensor as tensor_mod
 from petl_lab.backbone import SWIN_B, SWIN_MICRO, window_grid_counts
 from petl_lab.experiment import parse_config, plot_tradeoff, run_experiment
-from petl_lab.petl import PETLSpec, attach_petl, BlockHooks, BlockPETL, PrefixBank
+from petl_lab.petl import PETLSpec, attach_petl
 
-from conftest import TINY, random_clip
+from conftest import TINY, FixedRows, random_clip
 
 
 @contextmanager
@@ -164,12 +164,9 @@ def test_criterion_7_prompt_prefix_equivalence():
                 for j, blk in enumerate(stage.blocks):
                     tokens = prompt_model.registry.get(
                         f"stages.{i}.blocks.{j}.petl.prompt.tokens").tensor.data
-                    bank = PrefixBank(
-                        p_k=pl.Tensor(tokens @ blk.attn.w_k.data + blk.attn.b_k.data),
-                        p_v=pl.Tensor(tokens @ blk.attn.w_v.data + blk.attn.b_v.data),
-                        w_pk=None, w_pv=None, transform=False)
-                    prefix_model.hooks[i][j] = BlockHooks(BlockPETL(prefix=bank),
-                                                          blk.attn)
+                    prefix_model.hooks[i][j] = FixedRows(
+                        pl.Tensor(tokens @ blk.attn.w_k.data + blk.attn.b_k.data),
+                        pl.Tensor(tokens @ blk.attn.w_v.data + blk.attn.b_v.data))
             clip = random_clip(rng, TINY)
             diff = np.abs(prompt_model.forward(clip).data
                           - prefix_model.forward(clip).data).max()

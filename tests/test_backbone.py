@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from petl_lab import (GeometryError, ModelConfig, PETLSpec, ShapeError, Tensor, build_model,
                       build_swin_bapat, freeze_backbone, grad_check, load_checkpoint,
                       patch_embed, read_checkpoint, save_checkpoint, window_partition)
+from petl_lab import checkpoint
 from petl_lab import tensor as T
 from petl_lab.backbone import (SWIN_B, SWIN_MICRO, AttentionWeights,
                                swin_block, window_attention, window_grid_counts)
@@ -380,6 +382,29 @@ def test_checkpoint_file_bytes_pinned(tmp_path):
     save_checkpoint(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "c3b4bbaad9399d94e38c288906d12fba64bfa884d2cc87e41b78a76085eac17f"
+
+
+class _FailOnSecondWrite(io.FileIO):
+    """A file whose second ``write`` fails, as on a full disk."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return super().write(data)
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(build_model(TINY, seed=9), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", _FailOnSecondWrite, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(build_model(TINY, seed=10), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _weights_and_flags(model):

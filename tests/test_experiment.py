@@ -455,6 +455,31 @@ def test_cli_missing_report_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+ROW = {"run_id": "run000", "mechanism": "patt", "d_bottle": 2, "s": 0.8, "sites": "KV",
+       "frames": 4, "trainable_params": 60, "trainable_millions": 0.0, "train_top1": 0.5,
+       "eval_top1": None, "wall_seconds": 0.1, "seed": 3}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1,2]",
+    "{}",
+    '{"rows": {}}',
+    '{"rows": [1]}',
+    '{"rows": [{"run_id": "x"}]}',
+    json.dumps({"rows": [{**ROW, "extra": 1}]}),
+    json.dumps({"rows": [{**ROW, "trainable_millions": "x"}]}),
+], ids=["not-json", "not-object", "no-rows", "rows-not-list", "row-not-object",
+        "row-missing-keys", "row-extra-key", "row-wrong-type"])
+def test_cli_malformed_report_exits_2(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert cli_main(["plot", "--report", str(report), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_cli_gradcheck_exit_codes(tmp_path, capsys):
     raw = make_config(model={"dims": [2, 2, 4, 4], "heads": [1, 1, 2, 2]},
                       petl={"mechanisms": ["patt"], "d_bottle": 2})

@@ -6,10 +6,10 @@ from petl_lab import (ConfigError, ModelConfig, PETLSpec, Tensor, attach_petl,
                       freeze_backbone, petl_parameter_plan, swin_bapat_spec)
 from petl_lab import tensor as T
 from petl_lab.backbone import window_attention
-from petl_lab.petl import BlockHooks, BlockPETL, PrefixBank
+from petl_lab.petl import BlockHooks
 from petl_lab.registry import plan_total
 
-from conftest import TINY, random_clip
+from conftest import TINY, FixedRows, random_clip
 from reference_impl import ref_layer_norm, ref_window_attention
 from test_backbone import random_attention_weights
 
@@ -67,6 +67,8 @@ def test_attach_stage_mask_limits_attachment():
     attach_petl(model, spec, seed=1)
     paths = [p.path for p in model.registry if ".petl." in p.path]
     assert paths and all(p.startswith(("stages.2.", "stages.3.")) for p in paths)
+    assert [[hooks is not None for hooks in stage] for stage in model.hooks] == \
+        [[False], [False], [True, True], [True]]
 
 
 # -- zero-neutrality ---------------------------------------------------------------
@@ -86,6 +88,20 @@ def test_zero_setting_is_bitwise_neutral(spec, rng):
     for _ in range(3):
         clip = random_clip(rng, TINY)
         assert np.array_equal(base.forward(clip).data, modified.forward(clip).data)
+
+
+@pytest.mark.parametrize("spec", [
+    PETLSpec(),
+    PETLSpec(mechanisms=("prefix",), d_token=0),
+    PETLSpec(mechanisms=("prompt",), d_prompt=0),
+    PETLSpec(mechanisms=("prefix", "adapter_parallel", "prompt", "patt"), d_bottle=2,
+             attach_stages=(False, False, False, False)),
+], ids=["no-mechanisms", "prefix-0", "prompt-0", "no-stages"])
+def test_attaching_nothing_attaches_nothing(spec, rng):
+    base, modified = build_pair(spec)
+    assert all(hooks is None for stage in modified.hooks for hooks in stage)
+    clip = random_clip(rng, TINY)
+    assert np.array_equal(base.forward(clip).data, modified.forward(clip).data)
 
 
 def test_nonzero_settings_change_output(rng):
@@ -122,14 +138,17 @@ def test_prefix_matches_materialized_concat_reference(rng):
     w = random_attention_weights(rng, d, heads, 27)
     w.bias_table = Tensor(np.zeros((27, heads)))
     x = rng.normal(size=(n, d))
-    bank = PrefixBank(
-        p_k=Tensor(rng.normal(size=(3, d))), p_v=Tensor(rng.normal(size=(3, d))),
-        w_pk=Tensor(rng.normal(size=(d, 2))), w_pv=Tensor(rng.normal(size=(2, d))))
-    pk, pv = bank.transformed()
-    out = window_attention(Tensor(x), w, extra_k=pk, extra_v=pv)
+    prefix = {"prefix.p_k": Tensor(rng.normal(size=(3, d))),
+              "prefix.p_v": Tensor(rng.normal(size=(3, d))),
+              "prefix.w_pk": Tensor(rng.normal(size=(d, 2))),
+              "prefix.w_pv": Tensor(rng.normal(size=(2, d)))}
+    hooks = BlockHooks(prefix, PETLSpec(mechanisms=("prefix",)), w)
+    extras = hooks.attention_extras(Tensor(x))
+    out = window_attention(Tensor(x), w, extra_k=extras.extra_k, extra_v=extras.extra_v)
 
-    ref_pk = np.tanh(bank.p_k.data @ bank.w_pk.data) @ bank.w_pv.data
-    ref_pv = np.tanh(bank.p_v.data @ bank.w_pk.data) @ bank.w_pv.data
+    p = {name: t.data for name, t in prefix.items()}
+    ref_pk = np.tanh(p["prefix.p_k"] @ p["prefix.w_pk"]) @ p["prefix.w_pv"]
+    ref_pv = np.tanh(p["prefix.p_v"] @ p["prefix.w_pk"]) @ p["prefix.w_pv"]
     ref = ref_window_attention(x, w.w_q.data, w.b_q.data, w.w_k.data, w.b_k.data,
                                w.w_v.data, w.b_v.data, w.w_o.data, w.b_o.data,
                                heads, extra_k=ref_pk, extra_v=ref_pv)
@@ -234,11 +253,9 @@ def test_prompt_equals_raw_prefix(rng):
         for j, blk in enumerate(stage.blocks):
             tokens = prompt_model.registry.get(
                 f"stages.{i}.blocks.{j}.petl.prompt.tokens").tensor.data
-            bank = PrefixBank(
-                p_k=Tensor(tokens @ blk.attn.w_k.data + blk.attn.b_k.data),
-                p_v=Tensor(tokens @ blk.attn.w_v.data + blk.attn.b_v.data),
-                w_pk=None, w_pv=None, transform=False)
-            prefix_model.hooks[i][j] = BlockHooks(BlockPETL(prefix=bank), blk.attn)
+            prefix_model.hooks[i][j] = FixedRows(
+                Tensor(tokens @ blk.attn.w_k.data + blk.attn.b_k.data),
+                Tensor(tokens @ blk.attn.w_v.data + blk.attn.b_v.data))
 
     for _ in range(3):
         clip = random_clip(rng, TINY)
