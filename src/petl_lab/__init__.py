@@ -7,9 +7,8 @@ a deterministic synthetic-video training harness, and an experiment CLI that
 emits parameter-accuracy trade-off reports.
 """
 
-from .backbone import (SWIN_B, SWIN_MICRO, AttentionWeights, ModelConfig,
-                       VideoSwinModel, WindowLayout, build_model, patch_embed,
-                       window_attention, window_partition)
+from .backbone import (SWIN_B, SWIN_MICRO, ModelConfig, VideoSwinModel, WindowLayout,
+                       build_model, patch_embed, window_attention)
 from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from .errors import (ConfigError, GeometryError, NonFiniteError, PETLLabError,
                      ShapeError, StaleGraphError)
@@ -25,9 +24,8 @@ from .tensor import Tensor, no_grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "SWIN_B", "SWIN_MICRO", "AttentionWeights", "ModelConfig", "VideoSwinModel",
+    "SWIN_B", "SWIN_MICRO", "ModelConfig", "VideoSwinModel",
     "WindowLayout", "build_model", "patch_embed", "window_attention",
-    "window_partition",
     "load_checkpoint", "read_checkpoint", "save_checkpoint",
     "ConfigError", "GeometryError", "NonFiniteError", "PETLLabError",
     "ShapeError", "StaleGraphError",

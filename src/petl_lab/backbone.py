@@ -20,6 +20,11 @@ Windows with the same token count form a group, and each group runs as one
 batched attention call over leading (clip, window) axes, as in Swin and
 Video Swin, without padding.
 
+Weights are read by the paths :func:`backbone_parameter_plan` gives them;
+there are no weight dataclasses. A block's weights are a dict keyed by the
+path below ``stages.{i}.blocks.{j}.`` (``"attn.q.weight"``, ``"norm1.gamma"``,
+...), and its head count is the width of its bias table.
+
 Fine-tuning modules plug in through a per-block hooks object (see
 :mod:`petl_lab.petl`) whose ``attention_extras`` and ``ffn_output`` edit the
 block; a block without inserts has ``None`` hooks and runs bare. The backbone
@@ -191,28 +196,6 @@ class WindowLayout:
         self.inverse_perm = np.argsort(perm, kind="stable").astype(np.intp)
 
 
-def window_partition(grid: tuple[int, int, int], window: tuple[int, int, int],
-                     shifted: bool) -> WindowLayout:
-    """Build the (possibly shifted) window partition of a token grid."""
-    return WindowLayout(grid, window, shifted)
-
-
-@dataclass
-class AttentionWeights:
-    """Projection weights of one windowed attention module."""
-
-    n_heads: int
-    w_q: Tensor
-    b_q: Tensor
-    w_k: Tensor
-    b_k: Tensor
-    w_v: Tensor
-    b_v: Tensor
-    w_o: Tensor
-    b_o: Tensor
-    bias_table: Tensor  # (distinct relative offsets in a window, n_heads)
-
-
 @dataclass
 class AttentionExtras:
     """Per-block attention modifications supplied by fine-tuning hooks.
@@ -230,7 +213,7 @@ class AttentionExtras:
     add_v: Tensor | None = None
 
 
-def window_attention(x: Tensor, weights: AttentionWeights,
+def window_attention(x: Tensor, w: dict[str, Tensor],
                      bias: Tensor | None = None,
                      extra_k: Tensor | None = None,
                      extra_v: Tensor | None = None,
@@ -240,16 +223,18 @@ def window_attention(x: Tensor, weights: AttentionWeights,
     """Multi-head self-attention within each window of a stack of windows.
 
     ``x`` is (..., n, d): any leading axes index independent windows of n
-    tokens each. Per head the projected queries attend over the projected
-    keys/values, scaled by the inverse square root of the head dimension,
-    plus ``bias``, which broadcasts to (..., n_heads, n, n): a (G, n_heads,
-    n, n) bias serves every clip of a (B, G) lead. ``add_q/k/v`` have the
+    tokens each. ``w`` holds the block's weights by plan name; the width of
+    ``w["attn.bias_table"]`` is the head count. Per head the projected
+    queries attend over the projected keys/values, scaled by the inverse
+    square root of the head dimension, plus ``bias``, which broadcasts to
+    (..., n_heads, n, n): a (G, n_heads, n, n) bias serves every clip of a
+    (B, G) lead. ``add_q/k/v`` have the
     shape of ``x``. The (n_extra, d) ``extra_k``/``extra_v`` rows are
     prepended to the keys/values of every window and carry no position bias.
     Returns (..., n, d) after the output projection.
     """
     *lead, n, d = x.data.shape
-    heads = weights.n_heads
+    heads = w["attn.bias_table"].data.shape[1]
     if d % heads:
         raise ShapeError(f"token dim {d} not divisible by {heads} heads")
     hd = d // heads
@@ -260,9 +245,9 @@ def window_attention(x: Tensor, weights: AttentionWeights,
         out = T.linear(x, weight, offset)
         return out if add is None else T.add(out, add)
 
-    q = project(weights.w_q, weights.b_q, add_q)
-    k = project(weights.w_k, weights.b_k, add_k)
-    v = project(weights.w_v, weights.b_v, add_v)
+    q = project(w["attn.q.weight"], w["attn.q.bias"], add_q)
+    k = project(w["attn.k.weight"], w["attn.k.bias"], add_k)
+    v = project(w["attn.v.weight"], w["attn.v.bias"], add_v)
 
     n_extra = 0
     if extra_k is not None:
@@ -287,27 +272,10 @@ def window_attention(x: Tensor, weights: AttentionWeights,
     att = T.softmax(logits, axis=-1)
     out = T.matmul(att, vh)
     merged = T.reshape(T.transpose(out, heads_first), (*lead, n, d))
-    return T.linear(merged, weights.w_o, weights.b_o)
+    return T.linear(merged, w["attn.proj.weight"], w["attn.proj.bias"])
 
 
-@dataclass
-class BlockParams:
-    """All weights of one transformer block."""
-
-    norm1_gamma: Tensor
-    norm1_beta: Tensor
-    attn: AttentionWeights
-    norm2_gamma: Tensor
-    norm2_beta: Tensor
-    fc1_w: Tensor
-    fc1_b: Tensor
-    fc2_w: Tensor
-    fc2_b: Tensor
-    shifted: bool
-    eps: float
-
-
-def _windowed_attention(tokens: Tensor, blk: BlockParams, layout: WindowLayout,
+def _windowed_attention(tokens: Tensor, w: dict[str, Tensor], layout: WindowLayout,
                         extras: AttentionExtras | None) -> Tensor:
     """One batched :func:`window_attention` call per window group, back in raster order.
 
@@ -316,16 +284,17 @@ def _windowed_attention(tokens: Tensor, blk: BlockParams, layout: WindowLayout,
     (G, heads, n, n) is shared by every clip. Returns (..., N, d).
     """
     extras = extras or AttentionExtras()
-    heads = blk.attn.n_heads
+    table = w["attn.bias_table"]
+    heads = table.data.shape[1]
     *lead, _, d = tokens.data.shape
     outs = []
     for group in layout.groups:
         idx = group.tokens
         add_q, add_k, add_v = (None if t is None else T.gather_rows(t, idx, axis=-2)
                                for t in (extras.add_q, extras.add_k, extras.add_v))
-        rows = T.gather_rows(blk.attn.bias_table, group.bias_index.reshape(-1))
+        rows = T.gather_rows(table, group.bias_index.reshape(-1))
         bias = T.transpose(T.reshape(rows, (*group.bias_index.shape, heads)), (0, 3, 1, 2))
-        out = window_attention(T.gather_rows(tokens, idx, axis=-2), blk.attn, bias=bias,
+        out = window_attention(T.gather_rows(tokens, idx, axis=-2), w, bias=bias,
                                extra_k=extras.extra_k, extra_v=extras.extra_v,
                                add_q=add_q, add_k=add_k, add_v=add_v)
         outs.append(T.reshape(out, (*lead, idx.size, d)))
@@ -333,40 +302,28 @@ def _windowed_attention(tokens: Tensor, blk: BlockParams, layout: WindowLayout,
     return T.gather_rows(stitched, layout.inverse_perm, axis=-2)
 
 
-def swin_block(z: Tensor, blk: BlockParams, layout: WindowLayout, hooks=None) -> Tensor:
+def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float,
+               hooks=None) -> Tensor:
     """One block: windowed attention and FFN, each behind layer norm + residual."""
-    ln1 = T.layer_norm(z, blk.norm1_gamma, blk.norm1_beta, blk.eps)
+    ln1 = T.layer_norm(z, w["norm1.gamma"], w["norm1.beta"], eps)
     extras = hooks.attention_extras(ln1) if hooks is not None else None
-    z_hat = T.add(_windowed_attention(ln1, blk, layout, extras), z)
+    z_hat = T.add(_windowed_attention(ln1, w, layout, extras), z)
 
-    ln2 = T.layer_norm(z_hat, blk.norm2_gamma, blk.norm2_beta, blk.eps)
-    hidden = T.gelu(T.linear(ln2, blk.fc1_w, blk.fc1_b))
-    ffn = T.linear(hidden, blk.fc2_w, blk.fc2_b)
+    ln2 = T.layer_norm(z_hat, w["norm2.gamma"], w["norm2.beta"], eps)
+    hidden = T.gelu(T.linear(ln2, w["ffn.fc1.weight"], w["ffn.fc1.bias"]))
+    ffn = T.linear(hidden, w["ffn.fc2.weight"], w["ffn.fc2.bias"])
     out = T.add(ffn, z_hat)
     if hooks is not None:
         out = hooks.ffn_output(out, z_hat=z_hat, ln2=ln2, ffn=ffn)
     return out
 
 
-@dataclass
-class DownsampleParams:
-    norm_gamma: Tensor
-    norm_beta: Tensor
-    reduction: Tensor  # (4*d_in, d_out), no bias
-
-
-@dataclass
-class StageParams:
-    blocks: list[BlockParams]
-    downsample: DownsampleParams | None
-
-
-def merge_tokens(z: Tensor, grid: tuple[int, int, int], ds: DownsampleParams,
+def merge_tokens(z: Tensor, grid: tuple[int, int, int], w: dict[str, Tensor],
                  eps: float) -> tuple[Tensor, tuple[int, int, int]]:
     """2x2 spatial patch merge: concat neighbor features, norm, linear reduce.
 
-    ``z`` is (..., N, d) over ``grid``; returns (..., N / 4, d_out) and the
-    halved grid.
+    ``z`` is (..., N, d) over ``grid`` and ``w`` holds the merge's weights by
+    plan name; returns (..., N / 4, d_out) and the halved grid.
     """
     gt, gh, gw = grid
     if gh % 2 or gw % 2:
@@ -376,8 +333,8 @@ def merge_tokens(z: Tensor, grid: tuple[int, int, int], ds: DownsampleParams,
                  flat[:, 0::2, 1::2], flat[:, 1::2, 1::2]]
     parts = [T.gather_rows(z, q.reshape(-1), axis=-2) for q in quadrants]
     cat = T.concat(parts, axis=-1)
-    cat = T.layer_norm(cat, ds.norm_gamma, ds.norm_beta, eps)
-    return T.matmul(cat, ds.reduction), (gt, gh // 2, gw // 2)
+    cat = T.layer_norm(cat, w["norm.gamma"], w["norm.beta"], eps)
+    return T.matmul(cat, w["reduction.weight"]), (gt, gh // 2, gw // 2)
 
 
 def extract_patches(video: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -410,25 +367,23 @@ def patch_embed(video: np.ndarray, cfg: ModelConfig, weight: Tensor,
 
 
 class VideoSwinModel:
-    """A built backbone: parameters, cached window layouts, and forward."""
+    """A built backbone: parameters, cached window layouts, and forward.
 
-    def __init__(self, cfg: ModelConfig, registry: ParameterRegistry,
-                 embed_w: Tensor, embed_b: Tensor, embed_norm_g: Tensor,
-                 embed_norm_b: Tensor, stages: list[StageParams],
-                 norm_gamma: Tensor, norm_beta: Tensor,
-                 head_w: Tensor, head_b: Tensor):
+    Weights are read by plan path, with no weight dataclasses:
+    ``blocks[i][j]`` and ``downsamples[i]`` hold the tensors under
+    ``stages.{i}.blocks.{j}.`` and ``stages.{i}.downsample.`` keyed by the
+    rest of the path, and ``forward`` reads embed, final norm and head from
+    the registry.
+    """
+
+    def __init__(self, cfg: ModelConfig, registry: ParameterRegistry):
         self.cfg = cfg
         self.registry = registry
-        self.embed_w = embed_w
-        self.embed_b = embed_b
-        self.embed_norm_g = embed_norm_g
-        self.embed_norm_b = embed_norm_b
-        self.stages = stages
-        self.norm_gamma = norm_gamma
-        self.norm_beta = norm_beta
-        self.head_w = head_w
-        self.head_b = head_b
-        self.hooks: list[list] = [[None] * len(s.blocks) for s in stages]
+        self.blocks = [[registry.tensors(f"stages.{i}.blocks.{j}.") for j in range(n)]
+                       for i, n in enumerate(cfg.blocks_per_stage)]
+        self.downsamples = [registry.tensors(f"stages.{i}.downsample.")
+                            for i in range(cfg.num_stages - 1)]
+        self.hooks: list[list] = [[None] * n for n in cfg.blocks_per_stage]
         self.petl_spec = None
         self._layouts: dict[tuple, WindowLayout] = {}
 
@@ -446,19 +401,24 @@ class VideoSwinModel:
         (num_classes,). Each clip's logits equal those of its own forward.
         """
         cfg = self.cfg
-        z = patch_embed(video, cfg, self.embed_w, self.embed_b)
-        z = T.layer_norm(z, self.embed_norm_g, self.embed_norm_b, cfg.layer_norm_eps)
+        eps = cfg.layer_norm_eps
+
+        def w(path: str) -> Tensor:
+            return self.registry.get(path).tensor
+
+        z = patch_embed(video, cfg, w("patch_embed.proj.weight"), w("patch_embed.proj.bias"))
+        z = T.layer_norm(z, w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"), eps)
 
         grid = cfg.token_grid()
-        for i, stage in enumerate(self.stages):
-            for j, blk in enumerate(stage.blocks):
-                z = swin_block(z, blk, self.layout(grid, blk.shifted), self.hooks[i][j])
-            if stage.downsample is not None:
-                z, grid = merge_tokens(z, grid, stage.downsample, cfg.layer_norm_eps)
+        for i, blocks in enumerate(self.blocks):
+            for j, blk in enumerate(blocks):  # odd blocks run on the shifted grid
+                z = swin_block(z, blk, self.layout(grid, bool(j % 2)), eps, self.hooks[i][j])
+            if i < len(self.downsamples):
+                z, grid = merge_tokens(z, grid, self.downsamples[i], eps)
 
-        z = T.layer_norm(z, self.norm_gamma, self.norm_beta, cfg.layer_norm_eps)
+        z = T.layer_norm(z, w("norm.gamma"), w("norm.beta"), eps)
         pooled = T.tmean(z, axis=-2, keepdims=True)
-        logits = T.linear(pooled, self.head_w, self.head_b)
+        logits = T.linear(pooled, w("head.weight"), w("head.bias"))
         return T.reshape(logits, (*z.data.shape[:-2], cfg.num_classes))
 
     def zero_grads(self) -> None:
@@ -471,40 +431,4 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> VideoSwinModel:
     cfg.validate()
     reg = ParameterRegistry()
     allocate(reg, backbone_parameter_plan(cfg), np.random.default_rng(seed))
-
-    def w(path: str) -> Tensor:
-        return reg.get(path).tensor
-
-    stages: list[StageParams] = []
-    for i in range(cfg.num_stages):
-        blocks = []
-        for j in range(cfg.blocks_per_stage[i]):
-            b = f"stages.{i}.blocks.{j}."
-            attn = AttentionWeights(
-                n_heads=cfg.heads_per_stage[i],
-                w_q=w(b + "attn.q.weight"), b_q=w(b + "attn.q.bias"),
-                w_k=w(b + "attn.k.weight"), b_k=w(b + "attn.k.bias"),
-                w_v=w(b + "attn.v.weight"), b_v=w(b + "attn.v.bias"),
-                w_o=w(b + "attn.proj.weight"), b_o=w(b + "attn.proj.bias"),
-                bias_table=w(b + "attn.bias_table"),
-            )
-            blocks.append(BlockParams(
-                norm1_gamma=w(b + "norm1.gamma"), norm1_beta=w(b + "norm1.beta"),
-                attn=attn,
-                norm2_gamma=w(b + "norm2.gamma"), norm2_beta=w(b + "norm2.beta"),
-                fc1_w=w(b + "ffn.fc1.weight"), fc1_b=w(b + "ffn.fc1.bias"),
-                fc2_w=w(b + "ffn.fc2.weight"), fc2_b=w(b + "ffn.fc2.bias"),
-                shifted=bool(j % 2),
-                eps=cfg.layer_norm_eps,
-            ))
-        downsample = None
-        if i < cfg.num_stages - 1:
-            ds = f"stages.{i}.downsample."
-            downsample = DownsampleParams(norm_gamma=w(ds + "norm.gamma"),
-                                          norm_beta=w(ds + "norm.beta"),
-                                          reduction=w(ds + "reduction.weight"))
-        stages.append(StageParams(blocks=blocks, downsample=downsample))
-
-    return VideoSwinModel(cfg, reg, w("patch_embed.proj.weight"), w("patch_embed.proj.bias"),
-                          w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"), stages,
-                          w("norm.gamma"), w("norm.beta"), w("head.weight"), w("head.bias"))
+    return VideoSwinModel(cfg, reg)

@@ -14,6 +14,7 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigError, PETLLabError
@@ -52,17 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "run":
-            cfg = parse_config(args.config)
-            run_experiment(cfg, out_dir=args.out, seed=args.seed, quiet=args.quiet)
-        elif args.verb == "count":
-            cfg = parse_config(args.config)
-            emit_counts(cfg, out_dir=args.out, quiet=args.quiet)
-        elif args.verb == "gradcheck":
+        if args.verb != "plot":
             cfg = parse_config(args.config)
             if args.seed is not None:
-                import dataclasses
                 cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.verb == "run":
+            run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
+        elif args.verb == "count":
+            emit_counts(cfg, out_dir=args.out, quiet=args.quiet)
+        elif args.verb == "gradcheck":
             err = run_gradcheck(cfg, quiet=args.quiet)
             if err >= GRADCHECK_TOLERANCE:
                 print(f"gradcheck FAILED: {err:.3e} >= {GRADCHECK_TOLERANCE}",

@@ -256,10 +256,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sites=tuple(x.upper() for x in abl_raw.get("sites", ["".join(petl.patt_sites)])),
         frames=tuple(abl_raw.get("frames", [dataset.frames])),
     )
-    for name in ablation.sites:
-        _sites_tuple(name)
-
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         seed=top.get("seed", 0),
         model=model,
         petl=petl,
@@ -268,6 +265,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         ablation=ablation,
         output_dir=top.get("output_dir"),
     )
+    # Every combo is checked here, so no run trains before a later one is found invalid.
+    for frames in dict.fromkeys(ablation.frames):
+        _combo_model_cfg(cfg, frames)
+    for db, s, sites, _ in ablation.combos():
+        _combo_spec(cfg, db, s, sites).validate(model)
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -449,10 +452,8 @@ def execute_run(cfg: ExperimentConfig, index: int, d_bottle: int, s: float,
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   seed: int | None = None, quiet: bool = False) -> TradeoffReport:
+                   quiet: bool = False) -> TradeoffReport:
     """Execute the config's ablation cross-product and write all reports."""
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))
     if cfg.model.num_classes != cfg.dataset.n_classes:
         raise ConfigError(
             f"model.num_classes={cfg.model.num_classes} disagrees with "
@@ -495,7 +496,6 @@ def emit_counts(cfg: ExperimentConfig, out_dir: str | None = None,
     petl_rows = []
     for i, (db, s, sites, frames) in enumerate(cfg.ablation.combos()):
         spec = _combo_spec(cfg, db, s, sites)
-        spec.validate(cfg.model)
         trainable = plan_total(petl_parameter_plan(cfg.model, spec))
         if spec.tune_head:
             trainable += head

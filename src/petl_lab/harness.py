@@ -99,6 +99,8 @@ class OptimizerConfig:
             raise ConfigError("learning rate must be >= 0")
         if self.batch_size < 1 or self.steps < 1:
             raise ConfigError("steps and batch size must be >= 1")
+        if self.eval_every < 0:
+            raise ConfigError("eval_every must be >= 0 (0 evaluates only at the end)")
 
 
 class _Sgd:

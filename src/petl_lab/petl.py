@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import (AttentionExtras, AttentionWeights, ModelConfig,
-                       VideoSwinModel, build_model)
+from .backbone import AttentionExtras, ModelConfig, VideoSwinModel, build_model
 from .errors import ConfigError
 from .registry import allocate, petl_parameter_plan
 from .tensor import Tensor
@@ -150,12 +149,14 @@ class BlockHooks:
     ``stages.{i}.blocks.{j}.petl.`` prefix (``"adapter.down.weight"``,
     ``"prefix.p_k"``, ``"patt.up_k.weight"``, ...) to their tensors; the names
     held are the inserts the block has, and the ``patt.up_*`` names are its
-    PATT sites. ``spec`` supplies the branch scales and the adapter placement.
+    PATT sites. ``spec`` supplies the branch scales and the adapter placement,
+    and ``block`` the backbone block's own weights by plan name, whose key and
+    value projections project the prompt tokens.
     """
 
-    def __init__(self, weights: dict[str, Tensor], spec: PETLSpec, attn: AttentionWeights):
+    def __init__(self, weights: dict[str, Tensor], spec: PETLSpec, block: dict[str, Tensor]):
         self.weights = weights
-        self.attn = attn
+        self.block = block
         self.s_adapter = spec.s_adapter
         self.s_patt = spec.s_patt
         self.adapter_reads_ln2 = "adapter_parallel" in spec.mechanisms
@@ -172,8 +173,9 @@ class BlockHooks:
             # Prompt tokens reuse the frozen projections and skip the block
             # norm, so they are exactly prefix rows P@W_k / P@W_v (zero-init
             # projection biases keep the equivalence exact at build time).
-            k_rows.append(T.linear(w["prompt.tokens"], self.attn.w_k, self.attn.b_k))
-            v_rows.append(T.linear(w["prompt.tokens"], self.attn.w_v, self.attn.b_v))
+            blk = self.block
+            k_rows.append(T.linear(w["prompt.tokens"], blk["attn.k.weight"], blk["attn.k.bias"]))
+            v_rows.append(T.linear(w["prompt.tokens"], blk["attn.v.weight"], blk["attn.v.bias"]))
 
         add: dict[str, Tensor] = {}
         if self.patt_sites:
@@ -205,15 +207,12 @@ def attach_petl(model: VideoSwinModel, spec: PETLSpec, seed: int = 1) -> VideoSw
     unchanged by attaching. Returns the same model instance.
     """
     spec.validate(model.cfg)
-    plan = petl_parameter_plan(model.cfg, spec)
-    allocate(model.registry, plan, np.random.default_rng(seed))
-    for i, stage in enumerate(model.stages):
-        for j, blk in enumerate(stage.blocks):
-            base = f"stages.{i}.blocks.{j}.petl."
-            weights = {path[len(base):]: model.registry.get(path).tensor
-                       for path, _ in plan if path.startswith(base)}
+    allocate(model.registry, petl_parameter_plan(model.cfg, spec), np.random.default_rng(seed))
+    for i, blocks in enumerate(model.blocks):
+        for j, blk in enumerate(blocks):
+            weights = model.registry.tensors(f"stages.{i}.blocks.{j}.petl.")
             if weights:
-                model.hooks[i][j] = BlockHooks(weights, spec, blk.attn)
+                model.hooks[i][j] = BlockHooks(weights, spec, blk)
     model.petl_spec = spec
     return model
 

@@ -78,6 +78,11 @@ class ParameterRegistry:
     def __len__(self) -> int:
         return len(self._params)
 
+    def tensors(self, prefix: str) -> dict[str, Tensor]:
+        """The tensors under ``prefix``, in registry order, keyed by the rest of the path."""
+        return {path[len(prefix):]: p.tensor for path, p in self._params.items()
+                if path.startswith(prefix)}
+
     def trainable(self) -> list[Parameter]:
         return [p for p in self if not p.frozen]
 

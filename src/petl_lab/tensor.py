@@ -104,13 +104,13 @@ class Tensor:
     # -- gradient bookkeeping -------------------------------------------
 
     def _accum_grad(self, g: np.ndarray) -> None:
-        if self._backward_fn is None:  # a leaf owns its gradient
+        if self._backward_fn is None:  # a leaf owns its gradient, an array even if 0-d
             if self.grad is None:
-                self.grad = g.copy()
+                self.grad = np.array(g, order="C")
             else:
                 self.grad += g
-        elif self.grad is None:  # an interior node borrows it
-            self.grad = np.ascontiguousarray(g)
+        elif self.grad is None:  # an interior node borrows it; 0-d stays 0-d
+            self.grad = np.asarray(g, order="C")
         else:
             self.grad = np.add(self.grad, g, order="C")
 

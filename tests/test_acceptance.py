@@ -56,8 +56,8 @@ def test_criterion_3_window_geometry_exact():
         assert SWIN_B.token_grid() == (4, 56, 56)
         assert window_grid_counts((4, 56, 56), (8, 7, 7), False) == (1, 8, 8)
         assert window_grid_counts((4, 56, 56), (8, 7, 7), True) == (1, 9, 9)
-        assert pl.window_partition((4, 56, 56), (8, 7, 7), False).window_count == 64
-        assert pl.window_partition((4, 56, 56), (8, 7, 7), True).window_count == 81
+        assert pl.WindowLayout((4, 56, 56), (8, 7, 7), False).window_count == 64
+        assert pl.WindowLayout((4, 56, 56), (8, 7, 7), True).window_count == 81
 
 
 ZERO_SETTINGS = [
@@ -160,13 +160,13 @@ def test_criterion_7_prompt_prefix_equivalence():
             attach_petl(prompt_model, spec, seed=seed + 1)
 
             prefix_model = pl.build_model(TINY, seed=seed)
-            for i, stage in enumerate(prefix_model.stages):
-                for j, blk in enumerate(stage.blocks):
+            for i, blocks in enumerate(prefix_model.blocks):
+                for j, blk in enumerate(blocks):
                     tokens = prompt_model.registry.get(
                         f"stages.{i}.blocks.{j}.petl.prompt.tokens").tensor.data
-                    prefix_model.hooks[i][j] = FixedRows(
-                        pl.Tensor(tokens @ blk.attn.w_k.data + blk.attn.b_k.data),
-                        pl.Tensor(tokens @ blk.attn.w_v.data + blk.attn.b_v.data))
+                    k = tokens @ blk["attn.k.weight"].data + blk["attn.k.bias"].data
+                    v = tokens @ blk["attn.v.weight"].data + blk["attn.v.bias"].data
+                    prefix_model.hooks[i][j] = FixedRows(pl.Tensor(k), pl.Tensor(v))
             clip = random_clip(rng, TINY)
             diff = np.abs(prompt_model.forward(clip).data
                           - prefix_model.forward(clip).data).max()

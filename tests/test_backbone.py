@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from petl_lab import (GeometryError, ModelConfig, PETLSpec, ShapeError, Tensor, build_model,
                       build_swin_bapat, freeze_backbone, grad_check, load_checkpoint,
-                      patch_embed, read_checkpoint, save_checkpoint, window_partition)
+                      patch_embed, read_checkpoint, save_checkpoint)
 from petl_lab import checkpoint
 from petl_lab import tensor as T
-from petl_lab.backbone import (SWIN_B, SWIN_MICRO, AttentionWeights,
-                               swin_block, window_attention, window_grid_counts)
+from petl_lab.backbone import (SWIN_B, WindowLayout, swin_block, window_attention,
+                               window_grid_counts)
 from petl_lab.errors import ConfigError
 
 from conftest import NANO, TINY, random_clip
@@ -23,14 +23,19 @@ from reference_impl import ref_block, ref_forward, ref_window_attention
 
 def random_attention_weights(rng, d, heads, n_bias):
     mk = lambda shape: Tensor(rng.normal(scale=0.3, size=shape))
-    return AttentionWeights(
-        n_heads=heads,
-        w_q=mk((d, d)), b_q=mk((d,)),
-        w_k=mk((d, d)), b_k=mk((d,)),
-        w_v=mk((d, d)), b_v=mk((d,)),
-        w_o=mk((d, d)), b_o=mk((d,)),
-        bias_table=mk((n_bias, heads)),
-    )
+    return {
+        "attn.q.weight": mk((d, d)), "attn.q.bias": mk((d,)),
+        "attn.k.weight": mk((d, d)), "attn.k.bias": mk((d,)),
+        "attn.v.weight": mk((d, d)), "attn.v.bias": mk((d,)),
+        "attn.proj.weight": mk((d, d)), "attn.proj.bias": mk((d,)),
+        "attn.bias_table": mk((n_bias, heads)),
+    }
+
+
+def projection_arrays(w):
+    """The eight projection arrays of ``w``, in ``ref_window_attention`` order."""
+    return [w[f"attn.{name}.{kind}"].data
+            for name in ("q", "k", "v", "proj") for kind in ("weight", "bias")]
 
 
 # -- config geometry ------------------------------------------------------------
@@ -69,12 +74,12 @@ def test_shift_is_half_window():
 def test_window_counts_reference_example():
     assert window_grid_counts((4, 56, 56), (8, 7, 7), False) == (1, 8, 8)
     assert window_grid_counts((4, 56, 56), (8, 7, 7), True) == (1, 9, 9)
-    assert window_partition((4, 56, 56), (8, 7, 7), False).window_count == 64
-    assert window_partition((4, 56, 56), (8, 7, 7), True).window_count == 81
+    assert WindowLayout((4, 56, 56), (8, 7, 7), False).window_count == 64
+    assert WindowLayout((4, 56, 56), (8, 7, 7), True).window_count == 81
 
 
 def test_grid_equal_to_window_is_one_window():
-    layout = window_partition((4, 4, 4), (4, 4, 4), False)
+    layout = WindowLayout((4, 4, 4), (4, 4, 4), False)
     assert layout.window_count == 1
     assert [g.tokens.shape for g in layout.groups] == [(1, 64)]
 
@@ -82,10 +87,10 @@ def test_grid_equal_to_window_is_one_window():
 def test_group_counts_reference_example():
     # Windows of one token count share a call: a shifted axis has up to three
     # window sizes (head, interior, tail), and groups key on their product.
-    assert len(window_partition((4, 56, 56), (8, 7, 7), False).groups) == 1
-    assert len(window_partition((4, 56, 56), (8, 7, 7), True).groups) == 6
-    assert len(window_partition((4, 16, 16), (8, 7, 7), False).groups) == 3
-    assert len(window_partition((4, 16, 16), (8, 7, 7), True).groups) == 6
+    assert len(WindowLayout((4, 56, 56), (8, 7, 7), False).groups) == 1
+    assert len(WindowLayout((4, 56, 56), (8, 7, 7), True).groups) == 6
+    assert len(WindowLayout((4, 16, 16), (8, 7, 7), False).groups) == 3
+    assert len(WindowLayout((4, 16, 16), (8, 7, 7), True).groups) == 6
 
 
 def _relative_offset_table(layout):
@@ -110,7 +115,7 @@ window_extent = st.integers(1, 6)
 @example(grid=(1, 1, 1), window=(5, 5, 5), shifted=True)
 @example(grid=(1, 3, 2), window=(4, 4, 4), shifted=False)
 def test_partition_property_random_grids(grid, window, shifted):
-    layout = window_partition(grid, window, shifted)
+    layout = WindowLayout(grid, window, shifted)
     n_tokens = int(np.prod(grid))
     perm = np.concatenate([g.tokens.reshape(-1) for g in layout.groups])
     assert np.array_equal(np.sort(perm), np.arange(n_tokens))  # each token exactly once
@@ -127,7 +132,7 @@ def test_partition_property_random_grids(grid, window, shifted):
 
 
 def test_inverse_perm_restores_order(rng):
-    layout = window_partition((3, 5, 4), (2, 3, 3), True)
+    layout = WindowLayout((3, 5, 4), (2, 3, 3), True)
     assert len(layout.groups) > 1
     perm = np.concatenate([g.tokens.reshape(-1) for g in layout.groups])
     assert np.array_equal(perm[layout.inverse_perm], np.arange(3 * 5 * 4))
@@ -135,7 +140,7 @@ def test_inverse_perm_restores_order(rng):
 
 def test_bias_index_depends_only_on_relative_offset():
     for grid, window in (((4, 4, 4), (4, 4, 4)), ((2, 2, 2), (2, 2, 2))):
-        layout = window_partition(grid, window, False)
+        layout = WindowLayout(grid, window, False)
         by_delta = _relative_offset_table(layout)
         # every relative offset of a full window has its own table row
         assert len(by_delta) == len(set(by_delta.values())) \
@@ -170,22 +175,24 @@ def test_patch_embed_rejects_wrong_shape(rng):
 def test_single_token_window_passes_value_through(rng):
     d, heads = 8, 2
     w = random_attention_weights(rng, d, heads, 27)
-    w.bias_table = Tensor(np.zeros((27, heads)))
+    w["attn.bias_table"] = Tensor(np.zeros((27, heads)))
     x = Tensor(rng.normal(size=(1, d)))
     out = window_attention(x, w)
-    v = x.data @ w.w_v.data + w.b_v.data
-    np.testing.assert_allclose(out.data, v @ w.w_o.data + w.b_o.data, atol=1e-12)
+    v = x.data @ w["attn.v.weight"].data + w["attn.v.bias"].data
+    np.testing.assert_allclose(out.data, v @ w["attn.proj.weight"].data
+                               + w["attn.proj.bias"].data, atol=1e-12)
 
 
 def test_zero_query_gives_uniform_attention(rng):
     d, heads, n = 6, 2, 5
     w = random_attention_weights(rng, d, heads, 27)
-    w.w_q = Tensor(np.zeros((d, d)))
-    w.b_q = Tensor(np.zeros(d))
+    w["attn.q.weight"] = Tensor(np.zeros((d, d)))
+    w["attn.q.bias"] = Tensor(np.zeros(d))
     x = Tensor(rng.normal(size=(n, d)))
     out = window_attention(x, w)
-    v = x.data @ w.w_v.data + w.b_v.data
-    expected = np.tile(v.mean(axis=0), (n, 1)) @ w.w_o.data + w.b_o.data
+    v = x.data @ w["attn.v.weight"].data + w["attn.v.bias"].data
+    expected = (np.tile(v.mean(axis=0), (n, 1)) @ w["attn.proj.weight"].data
+                + w["attn.proj.bias"].data)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -195,9 +202,7 @@ def test_window_attention_matches_loop_reference(rng):
     x = rng.normal(size=(n, d))
     bias = rng.normal(size=(heads, n, n))
     out = window_attention(Tensor(x), w, bias=Tensor(bias))
-    ref = ref_window_attention(x, w.w_q.data, w.b_q.data, w.w_k.data, w.b_k.data,
-                               w.w_v.data, w.b_v.data, w.w_o.data, w.b_o.data,
-                               heads, bias=bias)
+    ref = ref_window_attention(x, *projection_arrays(w), heads, bias=bias)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
 
@@ -243,13 +248,13 @@ def test_attention_permutation_equivariance(rng):
 
 def test_zero_weight_block_is_identity(rng):
     model = build_model(TINY, seed=0)
-    blk = model.stages[0].blocks[0]
+    blk = model.blocks[0][0]
     for p in model.registry:
         if p.path.startswith("stages.0.blocks.0."):
             p.tensor.data[...] = 0.0
     grid = TINY.token_grid()
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0]))
-    out = swin_block(Tensor(z), blk, model.layout(grid, False))
+    out = swin_block(Tensor(z), blk, model.layout(grid, False), TINY.layer_norm_eps)
     assert np.array_equal(out.data, z)
 
 
@@ -258,7 +263,8 @@ def test_block_preserves_shape(rng):
     grid = TINY.token_grid()
     z = Tensor(rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0])))
     for shifted in (False, True):
-        out = swin_block(z, model.stages[0].blocks[0], model.layout(grid, shifted))
+        out = swin_block(z, model.blocks[0][0], model.layout(grid, shifted),
+                         TINY.layer_norm_eps)
         assert out.shape == z.shape
 
 
@@ -266,7 +272,8 @@ def test_block_matches_reference_composition(rng):
     model = build_model(TINY, seed=3)
     grid = TINY.token_grid()
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0]))
-    out = swin_block(Tensor(z), model.stages[0].blocks[0], model.layout(grid, False))
+    out = swin_block(Tensor(z), model.blocks[0][0], model.layout(grid, False),
+                     TINY.layer_norm_eps)
     ref = ref_block(z, model, 0, 0, grid)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -275,7 +282,8 @@ def test_shifted_block_matches_reference(rng):
     model = build_model(TINY, seed=4)
     grid = (2, 4, 4)  # stage 2 grid; block 1 there is shifted
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[2]))
-    out = swin_block(Tensor(z), model.stages[2].blocks[1], model.layout(grid, True))
+    out = swin_block(Tensor(z), model.blocks[2][1], model.layout(grid, True),
+                     TINY.layer_norm_eps)
     ref = ref_block(z, model, 2, 1, grid)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 

@@ -108,6 +108,26 @@ def test_empty_ablation_axis_rejected(tmp_path):
         parse_config(write_config(tmp_path, raw))
 
 
+@pytest.mark.parametrize("ablation", [{"d_bottle": [2, 64]}, {"frames": [4, 3]}],
+                         ids=["d_bottle-too-wide", "frames-not-tiling"])
+def test_invalid_later_combo_rejected_before_any_run_trains(tmp_path, capsys, ablation):
+    # the first combo is valid; the second exceeds a stage dim or does not tile
+    path = write_config(tmp_path, make_config(ablation=ablation))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not list(out.glob("history_*.csv"))
+    assert cli_main(["count", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_negative_eval_every_rejected(tmp_path):
+    raw = make_config(optimizer={"eval_every": -1})
+    with pytest.raises(ConfigError, match="eval_every"):
+        config_from_dict(raw)
+    code, err = count_exit_code(tmp_path, raw)
+    assert code == 2 and "config error" in err
+
+
 def test_empty_config_rejected(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
@@ -478,6 +498,15 @@ def test_cli_malformed_report_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def test_cli_seed_overrides_config_seed(tmp_path):
+    path = write_config(tmp_path, make_config(ablation={"d_bottle": [1, 2]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out), "--seed", "5",
+                     "--quiet"]) == 0
+    rows = TradeoffReport.read_json(out / "report.json").rows
+    assert [r.seed for r in rows] == [5, 6]
 
 
 def test_cli_gradcheck_exit_codes(tmp_path, capsys):

@@ -11,7 +11,7 @@ from petl_lab.registry import plan_total
 
 from conftest import TINY, FixedRows, random_clip
 from reference_impl import ref_layer_norm, ref_window_attention
-from test_backbone import random_attention_weights
+from test_backbone import projection_arrays, random_attention_weights
 
 
 def build_pair(spec, seed=11, cfg=TINY):
@@ -125,8 +125,8 @@ def test_prefix_row_counts_and_normalization(rng):
     hd = d // heads
     for h in range(heads):
         sl = slice(h * hd, (h + 1) * hd)
-        q = (x @ w.w_q.data + w.b_q.data)[:, sl]
-        k = np.vstack([extra_k, x @ w.w_k.data + w.b_k.data])[:, sl]
+        q = (x @ w["attn.q.weight"].data + w["attn.q.bias"].data)[:, sl]
+        k = np.vstack([extra_k, x @ w["attn.k.weight"].data + w["attn.k.bias"].data])[:, sl]
         assert k.shape[0] == n + d_token == 68
         logits = q @ k.T / np.sqrt(hd)
         alpha = T.softmax(Tensor(logits), axis=-1).data
@@ -136,7 +136,7 @@ def test_prefix_row_counts_and_normalization(rng):
 def test_prefix_matches_materialized_concat_reference(rng):
     d, heads, n = 8, 2, 5
     w = random_attention_weights(rng, d, heads, 27)
-    w.bias_table = Tensor(np.zeros((27, heads)))
+    w["attn.bias_table"] = Tensor(np.zeros((27, heads)))
     x = rng.normal(size=(n, d))
     prefix = {"prefix.p_k": Tensor(rng.normal(size=(3, d))),
               "prefix.p_v": Tensor(rng.normal(size=(3, d))),
@@ -149,9 +149,8 @@ def test_prefix_matches_materialized_concat_reference(rng):
     p = {name: t.data for name, t in prefix.items()}
     ref_pk = np.tanh(p["prefix.p_k"] @ p["prefix.w_pk"]) @ p["prefix.w_pv"]
     ref_pv = np.tanh(p["prefix.p_v"] @ p["prefix.w_pk"]) @ p["prefix.w_pv"]
-    ref = ref_window_attention(x, w.w_q.data, w.b_q.data, w.w_k.data, w.b_k.data,
-                               w.w_v.data, w.b_v.data, w.w_o.data, w.b_o.data,
-                               heads, extra_k=ref_pk, extra_v=ref_pv)
+    ref = ref_window_attention(x, *projection_arrays(w), heads,
+                               extra_k=ref_pk, extra_v=ref_pv)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
 
@@ -189,16 +188,16 @@ def test_adapter_parallel_matches_branch_decomposition(rng):
     grid = TINY.token_grid()
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0]))
     from petl_lab.backbone import _windowed_attention, swin_block
-    out_mod = swin_block(Tensor(z), modified.stages[0].blocks[0],
-                         modified.layout(grid, False), modified.hooks[0][0])
-    out_base = swin_block(Tensor(z), base.stages[0].blocks[0],
-                          base.layout(grid, False))
+    out_mod = swin_block(Tensor(z), modified.blocks[0][0], modified.layout(grid, False),
+                         TINY.layer_norm_eps, modified.hooks[0][0])
+    out_base = swin_block(Tensor(z), base.blocks[0][0], base.layout(grid, False),
+                          TINY.layer_norm_eps)
 
     # independent branch computation from raw weights:
     # z_hat = attention(LN1(z)) + z, branch input is LN2(z_hat)
     get = lambda name: modified.registry.get(f"stages.0.blocks.0.{name}").tensor.data
     ln1 = ref_layer_norm(z, get("norm1.gamma"), get("norm1.beta"), TINY.layer_norm_eps)
-    att = _windowed_attention(Tensor(ln1), base.stages[0].blocks[0],
+    att = _windowed_attention(Tensor(ln1), base.blocks[0][0],
                               base.layout(grid, False), None)
     z_hat = att.data + z
     ln2 = ref_layer_norm(z_hat, get("norm2.gamma"), get("norm2.beta"),
@@ -234,12 +233,12 @@ def test_prompt_row_arithmetic(rng):
     w = random_attention_weights(rng, d, heads, 1)
     x = rng.normal(size=(n, d))
     prompt = rng.normal(size=(d_prompt, d))
-    pk = Tensor(prompt @ w.w_k.data + w.b_k.data)
-    pv = Tensor(prompt @ w.w_v.data + w.b_v.data)
+    pk = Tensor(prompt @ w["attn.k.weight"].data + w["attn.k.bias"].data)
+    pv = Tensor(prompt @ w["attn.v.weight"].data + w["attn.v.bias"].data)
     out = window_attention(Tensor(x), w, extra_k=pk, extra_v=pv)
     assert out.shape == (16, d)
     hd = d // heads
-    k = np.vstack([pk.data, x @ w.w_k.data + w.b_k.data])
+    k = np.vstack([pk.data, x @ w["attn.k.weight"].data + w["attn.k.bias"].data])
     assert k.shape[0] == 19
 
 
@@ -249,13 +248,13 @@ def test_prompt_equals_raw_prefix(rng):
     attach_petl(prompt_model, spec, seed=29)
 
     prefix_model = build_model(TINY, seed=23)
-    for i, stage in enumerate(prefix_model.stages):
-        for j, blk in enumerate(stage.blocks):
+    for i, blocks in enumerate(prefix_model.blocks):
+        for j, blk in enumerate(blocks):
             tokens = prompt_model.registry.get(
                 f"stages.{i}.blocks.{j}.petl.prompt.tokens").tensor.data
             prefix_model.hooks[i][j] = FixedRows(
-                Tensor(tokens @ blk.attn.w_k.data + blk.attn.b_k.data),
-                Tensor(tokens @ blk.attn.w_v.data + blk.attn.b_v.data))
+                Tensor(tokens @ blk["attn.k.weight"].data + blk["attn.k.bias"].data),
+                Tensor(tokens @ blk["attn.v.weight"].data + blk["attn.v.bias"].data))
 
     for _ in range(3):
         clip = random_clip(rng, TINY)
@@ -270,7 +269,7 @@ def test_prompt_equals_raw_prefix(rng):
 def test_patt_matches_materialized_addition(rng):
     d, heads, n = 8, 2, 6
     w = random_attention_weights(rng, d, heads, 27)
-    w.bias_table = Tensor(np.zeros((27, heads)))
+    w["attn.bias_table"] = Tensor(np.zeros((27, heads)))
     x = rng.normal(size=(n, d))
     w_down = rng.normal(size=(d, 3))
     w_up_k = rng.normal(size=(3, d))
@@ -280,9 +279,7 @@ def test_patt_matches_materialized_addition(rng):
     add_k = s * (hidden @ w_up_k)
     add_v = s * (hidden @ w_up_v)
     out = window_attention(Tensor(x), w, add_k=Tensor(add_k), add_v=Tensor(add_v))
-    ref = ref_window_attention(x, w.w_q.data, w.b_q.data, w.w_k.data, w.b_k.data,
-                               w.w_v.data, w.b_v.data, w.w_o.data, w.b_o.data,
-                               heads, add_k=add_k, add_v=add_v)
+    ref = ref_window_attention(x, *projection_arrays(w), heads, add_k=add_k, add_v=add_v)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
 

@@ -5,6 +5,9 @@ import weakref
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from petl_lab import NonFiniteError, ShapeError, StaleGraphError, Tensor
 from petl_lab import tensor as T
@@ -269,6 +272,98 @@ def test_per_op_gradients(case, rng):
     }
     f, leaves = cases[case]
     check_op_grads(f, leaves)
+
+
+# -- property: gradients against central differences on random shapes ---------
+
+
+def assert_grads_match_central_differences(f, leaves):
+    """Backward of the scalar builder ``f`` equals its central differences."""
+    loss = f()
+    loss.backward()
+    for leaf, numeric in zip(leaves, numeric_grad(f, leaves)):
+        analytic = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
+        assert isinstance(analytic, np.ndarray) and analytic.shape == leaf.shape
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+
+def leaf(rng, shape):
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def weighted_sum(out, rng):
+    """A scalar that every entry of ``out`` reaches with its own weight."""
+    return T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape))))
+
+
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def broadcast_source(draw, target):
+    """A shape that broadcasts to ``target`` without enlarging it: some of its
+    trailing axes, each kept or set to 1."""
+    rank = draw(st.integers(0, len(target)))
+    return tuple(draw(st.sampled_from((1, n))) for n in target[len(target) - rank:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.sampled_from(("add", "sub", "mul")),
+       shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
+                                                min_side=1, max_side=3),
+       seed=SEEDS)
+def test_broadcasting_binary_op_gradients_property(op, shapes, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (leaf(rng, shape) for shape in shapes.input_shapes)
+    weight = Tensor(rng.normal(size=shapes.result_shape))
+    f = lambda: T.tsum(T.mul(getattr(T, op)(a, b), weight))
+    assert_grads_match_central_differences(f, [a, b])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), lead=hnp.array_shapes(min_dims=0, max_dims=1, min_side=1, max_side=3),
+       n=st.integers(1, 3), d_in=st.integers(1, 3), d_out=st.integers(1, 3), seed=SEEDS)
+def test_linear_gradients_property(data, lead, n, d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    bias_shape = data.draw(broadcast_source((*lead, n, d_out)), label="bias")
+    x, w, b = leaf(rng, (*lead, n, d_in)), leaf(rng, (d_in, d_out)), leaf(rng, bias_shape)
+    weight = Tensor(rng.normal(size=(*lead, n, d_out)))
+    assert_grads_match_central_differences(
+        lambda: T.tsum(T.mul(T.linear(x, w, b), weight)), [x, w, b])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), target=SHAPES, seed=SEEDS)
+def test_broadcast_to_gradients_property(data, target, seed):
+    rng = np.random.default_rng(seed)
+    source = leaf(rng, data.draw(broadcast_source(target), label="source"))
+    weight = Tensor(rng.normal(size=target))
+    assert_grads_match_central_differences(
+        lambda: T.tsum(T.mul(T.broadcast_to(source, target), weight)), [source])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), op=st.sampled_from(("tsum", "tmean", "softmax", "concat")),
+       shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3), seed=SEEDS)
+def test_axis_op_gradients_on_negative_axes_property(data, op, shape, seed):
+    rng = np.random.default_rng(seed)
+    axis = data.draw(st.integers(-len(shape), -1), label="axis")
+    x = leaf(rng, shape)
+    leaves = [x]
+    if op == "softmax":
+        build = lambda: T.softmax(x, axis=axis)
+    elif op == "concat":
+        other = list(shape)
+        other[axis] = data.draw(st.integers(1, 3), label="other extent")
+        y = leaf(rng, other)
+        leaves.append(y)
+        build = lambda: T.concat([x, y], axis=axis)
+    else:
+        keepdims = data.draw(st.booleans(), label="keepdims")
+        build = lambda: getattr(T, op)(x, axis=axis, keepdims=keepdims)
+    weight = Tensor(rng.normal(size=build().shape))
+    assert_grads_match_central_differences(lambda: T.tsum(T.mul(build(), weight)), leaves)
 
 
 def test_transpose_negative_axes_and_bad_permutations(rng):
