@@ -33,7 +33,6 @@ only defines the call surface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,14 +231,13 @@ def window_attention(x: Tensor, w: dict[str, Tensor],
     shape of ``x``. The (n_extra, d) ``extra_k``/``extra_v`` rows are
     prepended to the keys/values of every window and carry no position bias.
     Returns (..., n, d) after the output projection.
+
+    The projections are :func:`~petl_lab.tensor.linear` ops; everything from
+    the head split to the head merge is one :func:`~petl_lab.tensor.attention`
+    op, which keeps only the softmax output for backward.
     """
     *lead, n, d = x.data.shape
     heads = w["attn.bias_table"].data.shape[1]
-    if d % heads:
-        raise ShapeError(f"token dim {d} not divisible by {heads} heads")
-    hd = d // heads
-    b = len(lead)
-    heads_first = (*range(b), b + 1, b, b + 2)  # (..., rows, heads, hd) <-> (..., heads, rows, hd)
 
     def project(weight: Tensor, offset: Tensor, add: Tensor | None) -> Tensor:
         out = T.linear(x, weight, offset)
@@ -249,7 +247,6 @@ def window_attention(x: Tensor, w: dict[str, Tensor],
     k = project(w["attn.k.weight"], w["attn.k.bias"], add_k)
     v = project(w["attn.v.weight"], w["attn.v.bias"], add_v)
 
-    n_extra = 0
     if extra_k is not None:
         if extra_v is None or extra_k.data.shape != extra_v.data.shape:
             raise ShapeError("extra key/value rows must come in matching pairs")
@@ -257,21 +254,11 @@ def window_attention(x: Tensor, w: dict[str, Tensor],
         if n_extra:
             k = T.concat([T.broadcast_to(extra_k, (*lead, n_extra, d)), k], axis=-2)
             v = T.concat([T.broadcast_to(extra_v, (*lead, n_extra, d)), v], axis=-2)
+            if bias is not None:
+                pad = Tensor(np.zeros((*bias.data.shape[:-1], n_extra)))
+                bias = T.concat([pad, bias], axis=-1)
 
-    qh = T.transpose(T.reshape(q, (*lead, n, heads, hd)), heads_first)
-    kh = T.transpose(T.reshape(k, (*lead, n + n_extra, heads, hd)), (*range(b), b + 1, b + 2, b))
-    vh = T.transpose(T.reshape(v, (*lead, n + n_extra, heads, hd)), heads_first)
-
-    logits = T.mul(T.matmul(qh, kh), 1.0 / math.sqrt(hd))
-    if bias is not None:
-        if n_extra:
-            pad = Tensor(np.zeros((*bias.data.shape[:-1], n_extra)))
-            bias = T.concat([pad, bias], axis=-1)
-        logits = T.add(logits, bias)
-
-    att = T.softmax(logits, axis=-1)
-    out = T.matmul(att, vh)
-    merged = T.reshape(T.transpose(out, heads_first), (*lead, n, d))
+    merged = T.attention(q, k, v, bias, heads)
     return T.linear(merged, w["attn.proj.weight"], w["attn.proj.bias"])
 
 
@@ -304,14 +291,19 @@ def _windowed_attention(tokens: Tensor, w: dict[str, Tensor], layout: WindowLayo
 
 def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float,
                hooks=None) -> Tensor:
-    """One block: windowed attention and FFN, each behind layer norm + residual."""
+    """One block: windowed attention and FFN, each behind layer norm + residual.
+
+    The FFN (fc1, exact GELU, fc2) is one :func:`~petl_lab.tensor.mlp` op,
+    which keeps only the GELU derivative for backward, plus the GELU output
+    when fc2's weight trains.
+    """
     ln1 = T.layer_norm(z, w["norm1.gamma"], w["norm1.beta"], eps)
     extras = hooks.attention_extras(ln1) if hooks is not None else None
     z_hat = T.add(_windowed_attention(ln1, w, layout, extras), z)
 
     ln2 = T.layer_norm(z_hat, w["norm2.gamma"], w["norm2.beta"], eps)
-    hidden = T.gelu(T.linear(ln2, w["ffn.fc1.weight"], w["ffn.fc1.bias"]))
-    ffn = T.linear(hidden, w["ffn.fc2.weight"], w["ffn.fc2.bias"])
+    ffn = T.mlp(ln2, w["ffn.fc1.weight"], w["ffn.fc1.bias"],
+                w["ffn.fc2.weight"], w["ffn.fc2.bias"])
     out = T.add(ffn, z_hat)
     if hooks is not None:
         out = hooks.ffn_output(out, z_hat=z_hat, ln2=ln2, ffn=ffn)

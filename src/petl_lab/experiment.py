@@ -243,6 +243,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     dataset = DatasetSpec(**section("dataset", _DATASET_SCHEMA))
     dataset.validate()
+    _require(model.num_classes == dataset.n_classes,
+             f"model.num_classes={model.num_classes} disagrees with "
+             f"dataset.n_classes={dataset.n_classes}")
 
     optimizer = OptimizerConfig(**section("optimizer", _OPT_SCHEMA))
     optimizer.validate()
@@ -454,10 +457,6 @@ def execute_run(cfg: ExperimentConfig, index: int, d_bottle: int, s: float,
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    quiet: bool = False) -> TradeoffReport:
     """Execute the config's ablation cross-product and write all reports."""
-    if cfg.model.num_classes != cfg.dataset.n_classes:
-        raise ConfigError(
-            f"model.num_classes={cfg.model.num_classes} disagrees with "
-            f"dataset.n_classes={cfg.dataset.n_classes}")
     out = resolve_output_dir(cfg.output_dir, out_dir)
     combos = list(cfg.ablation.combos())
     if not quiet:
@@ -551,8 +550,6 @@ def plot_tradeoff(report: TradeoffReport, path) -> None:
 
 def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False, eps: float = 1e-5) -> float:
     """Build the config's model, freeze the backbone, and finite-difference it."""
-    if cfg.model.num_classes != cfg.dataset.n_classes:
-        raise ConfigError("model.num_classes must equal dataset.n_classes for gradcheck")
     ds = make_dataset(cfg.dataset.n_classes, 1,
                       (cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width),
                       seed=cfg.seed, noise=cfg.dataset.noise)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .registry import Parameter
 from .tensor import Tensor
 
@@ -246,13 +246,23 @@ def evaluate(model, dataset: SyntheticVideoDataset,
     return hits / len(dataset)
 
 
+def _check_gradients(params: list[Parameter], step: int) -> None:
+    """Every gradient is finite: a finite loss can still back-propagate inf."""
+    for p in params:
+        g = p.tensor.grad
+        if g is not None and not np.isfinite(g).all():
+            raise NonFiniteError(f"step {step}: gradient of '{p.path}' is not finite")
+
+
 def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int = 0,
           eval_dataset: SyntheticVideoDataset | None = None) -> TrainHistory:
     """Fine-tune the model's trainable parameters on the dataset.
 
     Only parameters with gradient tracking enabled are updated; everything
     else is untouched down to the bit. A fixed seed fixes the batch sequence,
-    so reruns reproduce the history exactly. Evaluations run in chunks of
+    so reruns reproduce the history exactly. A non-finite gradient raises
+    :class:`~petl_lab.errors.NonFiniteError` naming its parameter before the
+    optimizer writes any weight. Evaluations run in chunks of
     ``opt.batch_size`` clips, so none outgrows a training step.
     """
     opt.validate()
@@ -277,6 +287,7 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
         loss = _batch_loss(model, dataset.clips[batch], dataset.labels[batch])
         model.zero_grads()
         loss.backward()
+        _check_gradients(trainable, step)
         optimizer.step(trainable)
         history.losses.append(loss.item())
         if opt.eval_every and step % opt.eval_every == 0 and step < opt.steps:

@@ -10,7 +10,8 @@ Design constraints honored throughout:
 
 * float64 only -- finite-difference gradient verification needs the headroom;
 * every operation validates that its output is finite and raises
-  :class:`~petl_lab.errors.NonFiniteError` otherwise;
+  :class:`~petl_lab.errors.NonFiniteError` otherwise (the fused ops below
+  also check one intermediate);
 * fixed reduction orderings (numpy's deterministic kernels, single-threaded
   accumulation in backward) so reruns are bit-identical;
 * a graph may be differentiated once; a second backward over the same
@@ -23,6 +24,20 @@ contribution out of place, so no backward rule may write into a gradient it
 received. As soon as a node's rule has run, its gradient, rule and parents
 are dropped, so saved activations are freed while backward walks the graph;
 the node keeps only its ``_consumed`` mark.
+
+Two fused ops keep less than the op-by-op graphs they replace, whose every
+intermediate output would stay alive until backward. Each gives the same
+output and gradients bit for bit, and checks for non-finite values exactly
+where the per-op checks would have raised:
+
+* :func:`attention` (multi-head scaled dot-product attention) keeps only the
+  softmax output and reads q, k and v as views. It checks the biased logits
+  (finite there means the product, its scaling and the bias were finite, and
+  a softmax of finite logits lies in [0, 1]) and its output.
+* :func:`mlp` (linear, exact GELU, linear) keeps the GELU derivative,
+  computed in forward only when the output is tracked, and the GELU output
+  only if the second weight requires a gradient. It checks the
+  pre-activation (GELU of a finite value is finite) and its output.
 """
 
 from __future__ import annotations
@@ -194,6 +209,11 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
+def _tracked(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` is recorded for backward."""
+    return grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _make_op(data: np.ndarray, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], None] | None, op: str) -> Tensor:
     """Assemble an operation output, recording it only when tracking is on."""
@@ -202,7 +222,7 @@ def _make_op(data: np.ndarray, parents: Sequence[Tensor],
     out.data = data
     out.grad = None
     out._consumed = False
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if _tracked(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -270,25 +290,51 @@ def mul(a, b) -> Tensor:
 # -- linear algebra -------------------------------------------------------
 
 
-def _product(a: Tensor, b: Tensor) -> np.ndarray:
-    if a.data.ndim < 2 or b.data.ndim < 2:
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    return a.data @ b.data
+    return a @ b
+
+
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``x @ weight + bias``, the bias added in place into the product."""
+    data = _product(x, weight)
+    try:
+        data += bias
+    except ValueError as exc:
+        raise ShapeError(f"linear bias {bias.shape} does not broadcast to {data.shape}") from exc
+    return data
+
+
+def _left_grad(g: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of ``a`` (of ``shape``) in ``a @ b``."""
+    return _unbroadcast(g @ np.swapaxes(b, -1, -2), shape)
+
+
+def _right_grad(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of ``b`` (of ``shape``) in ``a @ b``."""
+    return _unbroadcast(np.swapaxes(a, -1, -2) @ g, shape)
 
 
 def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
     if a.requires_grad:
-        a._accum_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        a._accum_grad(_left_grad(g, b.data, a.data.shape))
     if b.requires_grad:
-        b._accum_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        b._accum_grad(_right_grad(a.data, g, b.data.shape))
+
+
+def _affine_backward(x: Tensor, weight: Tensor, bias: Tensor, g: np.ndarray) -> None:
+    _matmul_backward(x, weight, g)
+    if bias.requires_grad:
+        bias._accum_grad(_unbroadcast(g, bias.data.shape))
 
 
 def matmul(a, b) -> Tensor:
     """Batched matrix product ``a @ b`` with numpy broadcasting on batch dims."""
     a, b = _as_tensor(a), _as_tensor(b)
-    data = _product(a, b)
+    data = _product(a.data, b.data)
 
     def backward_fn(g):
         _matmul_backward(a, b, g)
@@ -306,16 +352,10 @@ def linear(x, weight, bias) -> Tensor:
     product's shape without enlarging it.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    data = _product(x, weight)
-    try:
-        data += bias.data
-    except ValueError as exc:
-        raise ShapeError(f"linear bias {bias.shape} does not broadcast to {data.shape}") from exc
+    data = _affine(x.data, weight.data, bias.data)
 
     def backward_fn(g):
-        _matmul_backward(x, weight, g)
-        if bias.requires_grad:
-            bias._accum_grad(_unbroadcast(g, bias.data.shape))
+        _affine_backward(x, weight, bias, g)
 
     return _make_op(data, (x, weight, bias), backward_fn, "linear")
 
@@ -448,19 +488,30 @@ def tmean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # -- normalization and attention kernels ------------------------------------
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Stable softmax of ``x`` along ``axis``, computed in one new buffer."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """Input gradient of a softmax along ``axis`` whose output is ``y``."""
+    gy = g * y
+    gy -= y * gy.sum(axis=axis, keepdims=True)
+    return gy
+
+
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``."""
-    x = t.data
-    if not -x.ndim <= axis < x.ndim:
+    if not -t.data.ndim <= axis < t.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {t.shape}")
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(t.data, axis)
 
     def backward_fn(g):
         if t.requires_grad:
-            gy = g * y
-            t._accum_grad(gy - y * gy.sum(axis=axis, keepdims=True))
+            t._accum_grad(_softmax_backward(g, y, axis))
 
     return _make_op(y, (t,), backward_fn, "softmax")
 
@@ -534,15 +585,141 @@ def tanh(t: Tensor) -> Tensor:
     return _make_op(data, (t,), backward_fn, "tanh")
 
 
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact GELU ``x * Phi(x)`` and the Gaussian CDF ``Phi(x)`` it used."""
+    cdf = x / _SQRT_2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
+def _gelu_derivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``d gelu / dx = Phi(x) + x * phi(x)``, computed in one new buffer."""
+    slope = -0.5 * x
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI  # the pdf
+    slope *= x
+    slope += cdf
+    return slope
+
+
 def gelu(t: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: ``x * Phi(x)`` (no tanh approximation)."""
-    x = t.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
-    data = x * cdf
+    data, cdf = _gelu(t.data)
 
     def backward_fn(g):
         if t.requires_grad:
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-            t._accum_grad(g * (cdf + x * pdf))
+            t._accum_grad(g * _gelu_derivative(t.data, cdf))
 
     return _make_op(data, (t,), backward_fn, "gelu")
+
+
+# -- fused blocks -------------------------------------------------------------
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """Two-layer perceptron ``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op.
+
+    Output and gradients equal the three-op form bit for bit. The graph
+    keeps the GELU derivative, computed in forward and only when the output
+    is tracked, and the GELU output only if ``w2`` requires a gradient. The
+    pre-activation ``h`` and the output are checked for finite values; GELU
+    of a finite value is finite.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    parents = (x, w1, b1, w2, b2)
+    h = _affine(x.data, w1.data, b1.data)
+    _ensure_finite(h, "mlp hidden")
+    hidden, cdf = _gelu(h)
+    data = _affine(hidden, w2.data, b2.data)
+    if _tracked(parents):
+        slope = _gelu_derivative(h, cdf)
+        kept = hidden if w2.requires_grad else None
+
+    def backward_fn(g):
+        below = x.requires_grad or w1.requires_grad or b1.requires_grad
+        if below:
+            g_hidden = _left_grad(g, w2.data, slope.shape)
+        if w2.requires_grad:
+            w2._accum_grad(_right_grad(kept, g, w2.data.shape))
+        if b2.requires_grad:
+            b2._accum_grad(_unbroadcast(g, b2.data.shape))
+        if below:
+            _affine_backward(x, w1, b1, g_hidden * slope)
+
+    return _make_op(data, parents, backward_fn, "mlp")
+
+
+def attention(q, k, v, bias, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one op.
+
+    ``q`` is (..., n, d) and ``k``/``v`` are (..., m, d); the last axis
+    splits into ``heads`` heads of ``d / heads`` channels. Per head the
+    output is ``softmax(q k^T / sqrt(d / heads) + bias) v``, with the heads
+    merged back into (..., n, d). ``bias`` is None or broadcasts to
+    (..., heads, n, m) without enlarging it.
+
+    Output and gradients equal the op-by-op form (reshape and transpose of
+    q, k and v, matmul, scale, bias add, softmax, matmul, merge) bit for bit.
+    The graph keeps only the softmax output; q, k and v are read as views.
+    The biased logits and the output are checked for finite values: finite
+    biased logits mean the product, the scaled product and the bias were
+    finite, and a softmax of finite logits lies in [0, 1].
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim < 2:
+        raise ShapeError(f"attention queries need >=2 axes, got {q.shape}")
+    *lead, n, d = q.data.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"token dim {d} not divisible by {heads} heads")
+    m = k.data.shape[-2] if k.data.ndim >= 2 else -1
+    if k.data.shape != v.data.shape or k.data.shape != (*lead, m, d):
+        raise ShapeError(f"attention keys {k.shape} and values {v.shape} do not match "
+                         f"queries {q.shape}")
+    hd = d // heads
+    scale = 1.0 / math.sqrt(hd)
+    b = len(lead)
+    split = (*range(b), b + 1, b, b + 2)  # (..., rows, heads, hd) <-> (..., heads, rows, hd)
+    k_split = (*range(b), b + 1, b + 2, b)  # (..., m, heads, hd) -> (..., heads, hd, m)
+    k_merge = (*range(b), b + 2, b, b + 1)
+    qh = q.data.reshape(*lead, n, heads, hd).transpose(split)
+    kh = k.data.reshape(*lead, m, heads, hd).transpose(k_split)
+    vh = v.data.reshape(*lead, m, heads, hd).transpose(split)
+
+    logits = _product(qh, kh)
+    logits *= scale
+    parents = (q, k, v)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        parents = (q, k, bias, v)  # the op-by-op graph's visiting order
+        try:
+            logits += bias.data
+        except ValueError as exc:
+            raise ShapeError(f"attention bias {bias.shape} does not broadcast to "
+                             f"{logits.shape}") from exc
+    _ensure_finite(logits, "attention logits")
+    att = _softmax(logits, -1)
+    data = _product(att, vh).transpose(split).reshape(*lead, n, d)
+
+    def backward_fn(g):
+        # the merge undone, into the C-contiguous copy the op-by-op graph fed its matmuls
+        g_out = np.ascontiguousarray(g.reshape(*lead, n, heads, hd).transpose(split))
+        bias_grad = bias is not None and bias.requires_grad
+        if q.requires_grad or k.requires_grad or bias_grad:
+            g_logits = _softmax_backward(_left_grad(g_out, vh, att.shape), att, -1)
+            if bias_grad:
+                bias._accum_grad(_unbroadcast(g_logits, bias.data.shape))
+            g_prod = g_logits * scale
+        if q.requires_grad:
+            g_qh = _left_grad(g_prod, kh, qh.shape)
+            q._accum_grad(g_qh.transpose(split).reshape(q.data.shape))
+        if k.requires_grad:
+            g_kh = _right_grad(qh, g_prod, kh.shape)
+            k._accum_grad(g_kh.transpose(k_merge).reshape(k.data.shape))
+        if v.requires_grad:
+            g_vh = _right_grad(att, g_out, vh.shape)
+            v._accum_grad(g_vh.transpose(split).reshape(v.data.shape))
+
+    return _make_op(data, parents, backward_fn, "attention")

@@ -351,11 +351,15 @@ def test_datasets_generated_once_per_frame_count(tmp_path, monkeypatch):
     assert sorted(shapes) == [(4, 32, 32)] * 2 + [(8, 32, 32)] * 2
 
 
-def test_class_count_mismatch_rejected(tmp_path):
-    raw = make_config(dataset={"n_classes": 4})
-    cfg = parse_config(write_config(tmp_path, raw))
+def test_class_count_mismatch_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, make_config(dataset={"n_classes": 4}))
     with pytest.raises(ConfigError, match="n_classes"):
-        run_experiment(cfg, out_dir=tmp_path / "out", quiet=True)
+        parse_config(path)
+    out = tmp_path / "out"
+    for verb in ("run", "count", "gradcheck"):
+        assert cli_main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert "n_classes" in capsys.readouterr().err
 
 
 def test_report_json_carries_wall_seconds(tmp_path):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from petl_lab import (SWIN_MICRO, ConfigError, ModelConfig, OptimizerConfig,
+from petl_lab import (SWIN_MICRO, ConfigError, ModelConfig, NonFiniteError, OptimizerConfig,
                       ParameterRegistry, PETLLabError, PETLSpec, Tensor, attach_petl,
                       build_model, build_swin_bapat, cross_entropy, evaluate,
                       freeze_backbone, grad_check, make_dataset, train)
@@ -227,6 +227,40 @@ def test_training_needs_trainable_parameters():
     ds = make_dataset(3, 2, TINY.input_size, seed=9)
     with pytest.raises(ConfigError):
         train(model, ds, OptimizerConfig(steps=1, batch_size=1), seed=9)
+
+
+class OverflowProbe:
+    """Logits ``(scale * 1e200) * 1e200 + bias`` with ``scale = 1e-200``: the
+    logits and the loss are finite, but the gradient of ``scale`` is 1e400
+    times the logits' gradient, which overflows to inf."""
+
+    def __init__(self, n_classes):
+        self.cfg = SimpleNamespace(num_classes=n_classes)
+        self.registry = ParameterRegistry()
+        self.bias = Tensor(np.linspace(0.0, 1.0, n_classes), requires_grad=True)
+        self.scale = Tensor(np.full(n_classes, 1e-200), requires_grad=True)
+        self.registry.register("probe.bias", self.bias)
+        self.registry.register("probe.scale", self.scale)
+
+    def forward(self, clips):
+        """Clips (B, ...) to logits (B, n_classes)."""
+        rows = T.broadcast_to(self.scale, (len(clips), self.scale.size))
+        return T.add(T.mul(T.mul(rows, 1e200), 1e200), self.bias)
+
+    def zero_grads(self):
+        for p in self.registry:
+            p.tensor.zero_grad()
+
+
+def test_nonfinite_gradient_raises_before_any_weight_moves():
+    model = OverflowProbe(3)
+    ds = SyntheticVideoDataset(np.zeros((3, 2)), np.arange(3), 3, seed=0)
+    before = {p.path: p.tensor.data.tobytes() for p in model.registry}
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(NonFiniteError, match="'probe.scale'")):
+        train(model, ds, OptimizerConfig(kind="adam", steps=2, batch_size=2), seed=0)
+    for p in model.registry:
+        assert p.tensor.data.tobytes() == before[p.path], p.path
 
 
 def test_s_zero_training_equals_head_only_exactly():

@@ -214,7 +214,7 @@ def test_backward_composed_model_vs_finite_differences(rng):
     "add", "add_broadcast", "sub", "mul", "mul_broadcast", "matmul",
     "matmul_batched", "reshape", "transpose", "concat", "gather", "sum_axis",
     "mean", "softmax", "log_softmax", "layer_norm", "relu", "gelu", "tanh",
-    "broadcast_to", "gather_axis", "transpose_negative", "linear",
+    "broadcast_to", "gather_axis", "transpose_negative", "linear", "attention", "mlp",
 ])
 def test_per_op_gradients(case, rng):
     # random small shapes (<= 64 elements per operand)
@@ -235,6 +235,13 @@ def test_per_op_gradients(case, rng):
     cube = Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
     cube_weight = Tensor(rng.normal(size=(3, 3, 3)))
     bias = Tensor(rng.normal(size=2), requires_grad=True)
+    keys = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    values = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    att_bias = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)  # (heads, n, m)
+    w1 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b1 = Tensor(rng.normal(size=5), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    b2 = Tensor(rng.normal(size=2), requires_grad=True)
 
     cases = {
         "add": (lambda: T.tsum(T.mul(T.add(a, b), T.add(a, b))), [a, b]),
@@ -269,6 +276,11 @@ def test_per_op_gradients(case, rng):
                                                     cube_weight)), [cube]),
         "linear": (lambda: T.tsum(T.mul(T.linear(batched, m2, bias),
                                         T.linear(batched, m2, bias))), [batched, m2, bias]),
+        "attention": (lambda: T.tsum(T.mul(T.attention(batched, keys, values, att_bias, 2),
+                                           batched)), [batched, keys, values, att_bias]),
+        "mlp": (lambda: T.tsum(T.mul(T.mlp(batched, w1, b1, w2, b2),
+                                     T.mlp(batched, w1, b1, w2, b2))),
+                [batched, w1, b1, w2, b2]),
     }
     f, leaves = cases[case]
     check_op_grads(f, leaves)
@@ -291,9 +303,10 @@ def leaf(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
-def weighted_sum(out, rng):
-    """A scalar that every entry of ``out`` reaches with its own weight."""
-    return T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape))))
+def weighted_sum(build, rng):
+    """A scalar builder that every entry of ``build()`` reaches with its own fixed weight."""
+    weight = Tensor(rng.normal(size=build().shape))
+    return lambda: T.tsum(T.mul(build(), weight))
 
 
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
@@ -366,6 +379,55 @@ def test_axis_op_gradients_on_negative_axes_property(data, op, shape, seed):
     assert_grads_match_central_differences(lambda: T.tsum(T.mul(build(), weight)), leaves)
 
 
+@settings(max_examples=40, deadline=None)
+@given(leads=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=2,
+                                               min_side=1, max_side=3),
+       n=st.integers(1, 3), k=st.integers(1, 3), m=st.integers(1, 3), seed=SEEDS)
+def test_matmul_gradients_on_broadcast_leads_property(leads, n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    lead_a, lead_b = leads.input_shapes
+    a, b = leaf(rng, (*lead_a, n, k)), leaf(rng, (*lead_b, k, m))
+    assert_grads_match_central_differences(weighted_sum(lambda: T.matmul(a, b), rng), [a, b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=3),
+       seed=SEEDS)
+def test_transpose_gradients_on_random_permutations_property(data, shape, seed):
+    rng = np.random.default_rng(seed)
+    ndim = len(shape)
+    perm = data.draw(st.permutations(range(ndim)), label="permutation")
+    axes = [a - ndim if data.draw(st.booleans(), label="negative") else a for a in perm]
+    x = leaf(rng, shape)
+    assert_grads_match_central_differences(
+        weighted_sum(lambda: T.transpose(x, axes), rng), [x])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3),
+       seed=SEEDS)
+def test_gather_rows_gradients_on_repeated_indices_property(data, shape, seed):
+    rng = np.random.default_rng(seed)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    n = shape[axis]
+    rows = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=4), label="rows")
+    index = np.array(rows + rows[:1])  # the first row twice, maybe under both signs
+    if len(index) % 2 == 0 and data.draw(st.booleans(), label="2-d index"):
+        index = index.reshape(2, -1)
+    x = leaf(rng, shape)
+    assert_grads_match_central_differences(
+        weighted_sum(lambda: T.gather_rows(x, index, axis=axis), rng), [x])
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4), seed=SEEDS)
+def test_layer_norm_gradients_property(shape, seed):
+    rng = np.random.default_rng(seed)
+    x, gamma, beta = leaf(rng, shape), leaf(rng, shape[-1:]), leaf(rng, shape[-1:])
+    assert_grads_match_central_differences(
+        weighted_sum(lambda: T.layer_norm(x, gamma, beta, 1e-5), rng), [x, gamma, beta])
+
+
 def test_transpose_negative_axes_and_bad_permutations(rng):
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = rng.normal(size=(4, 2, 3))
@@ -421,6 +483,148 @@ def test_linear_rejects_bad_shapes():
                                 (x, w, np.zeros((2, 5, 6)))]:  # would enlarge the output
         with pytest.raises(ShapeError):
             T.linear(bad_x, bad_w, Tensor(bad_b))
+
+
+# -- fused attention and MLP ----------------------------------------------------
+
+
+def attention_op_by_op(q, k, v, bias, heads):
+    """The op-by-op graph :func:`T.attention` replaces."""
+    *lead, n, d = q.shape
+    m, hd, b = k.shape[-2], d // heads, len(lead)
+    heads_first = (*range(b), b + 1, b, b + 2)
+    qh = T.transpose(T.reshape(q, (*lead, n, heads, hd)), heads_first)
+    kh = T.transpose(T.reshape(k, (*lead, m, heads, hd)), (*range(b), b + 1, b + 2, b))
+    vh = T.transpose(T.reshape(v, (*lead, m, heads, hd)), heads_first)
+    logits = T.mul(T.matmul(qh, kh), 1.0 / math.sqrt(hd))
+    if bias is not None:
+        logits = T.add(logits, bias)
+    out = T.matmul(T.softmax(logits, axis=-1), vh)
+    return T.reshape(T.transpose(out, heads_first), (*lead, n, d))
+
+
+def mlp_op_by_op(x, w1, b1, w2, b2):
+    """The op-by-op graph :func:`T.mlp` replaces."""
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+def assert_fused_equals_op_by_op_bitwise(fused, reference, arrays):
+    """Output and every input gradient of ``fused`` equal ``reference``'s bit for
+    bit, for every subset of tracked inputs (``None`` entries stay None)."""
+    tracked_subsets = [flags for flags in itertools.product([True, False], repeat=len(arrays))
+                       if any(flags)]
+    for flags in tracked_subsets:
+        routes = []
+        for op in (fused, reference):
+            inputs = [None if a is None else Tensor(a, requires_grad=f)
+                      for a, f in zip(arrays, flags)]
+            out = op(*inputs)
+            weight = Tensor(np.random.default_rng(0).normal(size=out.shape))
+            T.tsum(T.mul(out, weight)).backward()
+            routes.append([out.data] + [None if t is None else t.grad for t in inputs])
+        for fused_value, reference_value in zip(*routes):
+            if reference_value is None:
+                assert fused_value is None, flags
+            else:
+                assert fused_value.tobytes() == reference_value.tobytes(), flags
+
+
+@pytest.mark.parametrize("lead,n,m,heads,bias_shape", [
+    ((), 4, 4, 2, (2, 4, 4)),
+    ((2, 3), 4, 4, 2, (3, 2, 4, 4)),   # (B, G) lead, one bias per window shared by clips
+    ((3,), 4, 6, 2, (3, 2, 4, 6)),     # two extra key/value rows
+    ((2, 3), 5, 7, 4, (3, 4, 5, 7)),
+    ((2,), 4, 5, 1, None),             # no bias
+])
+def test_attention_equals_op_by_op_bitwise(lead, n, m, heads, bias_shape, rng):
+    d = 8
+    arrays = [rng.normal(size=(*lead, n, d)), rng.normal(size=(*lead, m, d)),
+              rng.normal(size=(*lead, m, d))]
+    if bias_shape is not None:
+        arrays.append(rng.normal(size=bias_shape))
+    ops = [lambda q, k, v, bias=None, op=op: op(q, k, v, bias, heads)
+           for op in (T.attention, attention_op_by_op)]
+    assert_fused_equals_op_by_op_bitwise(*ops, arrays)
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3, 5)])
+def test_mlp_equals_op_by_op_bitwise(lead, rng):
+    arrays = [rng.normal(size=(*lead, 4)), rng.normal(size=(4, 16)), rng.normal(size=16),
+              rng.normal(size=(16, 4)), rng.normal(size=4)]
+    assert_fused_equals_op_by_op_bitwise(T.mlp, mlp_op_by_op, arrays)
+
+
+def saved_arrays(out):
+    """The arrays a node's backward rule holds that own their memory (not views)."""
+    return [c.cell_contents for c in out._backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.base is None]
+
+
+def test_fused_ops_keep_only_what_backward_reads(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    frozen = [Tensor(rng.normal(size=s)) for s in ((4, 8), (8,), (8, 4), (4,))]
+    kept = saved_arrays(T.mlp(x, *frozen))
+    assert [a.shape for a in kept] == [(3, 8)]  # the GELU derivative alone
+    with T.no_grad():
+        assert T.mlp(x, *frozen)._backward_fn is None
+    trained_w2 = Tensor(frozen[2].data, requires_grad=True)
+    kept = saved_arrays(T.mlp(x, frozen[0], frozen[1], trained_w2, frozen[3]))
+    assert [a.shape for a in kept] == [(3, 8), (3, 8)]  # and the GELU output
+
+    q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(2, 3, 3)))
+    kept = saved_arrays(T.attention(q, q, q, bias, 2))
+    assert [a.shape for a in kept] == [(2, 2, 3, 3)]  # the softmax alone; q, k, v as views
+
+
+def fault_cases():
+    """(name, fused op, op-by-op form, finite inputs, input to spoil) per input."""
+    q, kv, bias = np.ones((2, 3, 4)), np.ones((2, 5, 4)), np.zeros((2, 3, 5))
+    x, w1, b1, w2, b2 = np.ones((3, 4)), np.ones((4, 6)), np.zeros(6), np.ones((6, 2)), np.zeros(2)
+    att = [("attention", T.attention, attention_op_by_op, [q, kv, kv, bias], i)
+           for i in range(4)]
+    ffn = [("mlp", T.mlp, mlp_op_by_op, [x, w1, b1, w2, b2], i) for i in range(5)]
+    return att + ffn
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name,fused,reference,arrays,which", fault_cases(),
+                         ids=[f"{c[0]}-input{c[4]}" for c in fault_cases()])
+def test_fused_ops_reject_nonfinite_inputs(name, fused, reference, arrays, which, bad):
+    # a leaf written after construction, as a diverged weight would be
+    heads = (2,) if name == "attention" else ()
+    for op in (fused, reference):  # the op-by-op checks raise in the same cases
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        inputs[which].data.reshape(-1)[1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NonFiniteError):
+                op(*inputs, *heads)
+
+
+def test_fused_ops_reject_overflowing_intermediates():
+    big = Tensor(np.full((2, 4), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op in (T.attention, attention_op_by_op):  # q k^T overflows
+            with pytest.raises(NonFiniteError):
+                op(big, big, Tensor(np.ones((2, 4))), None, 2)
+        qk = Tensor(np.full((2, 4), 1.2e153))  # scaled logits 2.04e306, finite
+        for op in (T.attention, attention_op_by_op):  # logits + bias overflows
+            with pytest.raises(NonFiniteError):
+                op(qk, qk, Tensor(np.ones((2, 4))), Tensor(np.full((2, 2, 2), 1.79e308)), 2)
+        for op in (T.mlp, mlp_op_by_op):  # the hidden layer overflows
+            with pytest.raises(NonFiniteError):
+                op(big, big.data.T, np.zeros(2), np.ones((2, 3)), np.zeros(3))
+
+
+def test_attention_rejects_bad_shapes():
+    q, kv = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4)))
+    for args in [(q, kv, kv, None, 3),                      # 4 channels, 3 heads
+                 (q, kv, Tensor(np.zeros((6, 4))), None, 2),  # keys and values differ
+                 (q, Tensor(np.zeros((5, 2))), Tensor(np.zeros((5, 2))), None, 2),
+                 (q, kv, kv, Tensor(np.zeros((2, 3, 4))), 2),  # bias is not (heads, n, m)
+                 (q, kv, kv, Tensor(np.zeros((2, 2, 3, 5))), 2)]:  # bias would enlarge
+        with pytest.raises(ShapeError):
+            T.attention(*args)
 
 
 def test_gather_scatter_without_repeats_equals_add_at(rng):
