@@ -117,7 +117,8 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
 def load_checkpoint(model, path: str) -> None:
     """Restore ``model``'s weights and freeze state in place; paths and shapes must match.
 
-    Nothing is written unless every path and shape matches.
+    Nothing is written unless every path and shape matches and every value
+    is finite.
     """
     entries = {entry["path"]: (entry, data) for entry, data in _read_entries(path)}
     params = {p.path for p in model.registry}
@@ -126,11 +127,13 @@ def load_checkpoint(model, path: str) -> None:
     if missing or extra:
         raise ConfigError(
             f"checkpoint/model parameter mismatch: missing={missing[:5]} extra={extra[:5]}")
-    for p in model.registry:  # check every shape before writing any weight
-        shape = entries[p.path][1].shape
-        if shape != p.shape:
+    for p in model.registry:  # check every entry before writing any weight
+        data = entries[p.path][1]
+        if data.shape != p.shape:
             raise ConfigError(
-                f"shape mismatch for '{p.path}': checkpoint {shape} vs model {p.shape}")
+                f"shape mismatch for '{p.path}': checkpoint {data.shape} vs model {p.shape}")
+        if not np.isfinite(data).all():
+            raise ConfigError(f"checkpoint {path}: '{p.path}' holds non-finite values")
     for p in model.registry:
         entry, data = entries[p.path]
         p.tensor.data[...] = data

@@ -246,12 +246,12 @@ def evaluate(model, dataset: SyntheticVideoDataset,
     return hits / len(dataset)
 
 
-def _check_gradients(params: list[Parameter], step: int) -> None:
+def _check_gradients(params: list[Parameter], where: str) -> None:
     """Every gradient is finite: a finite loss can still back-propagate inf."""
     for p in params:
         g = p.tensor.grad
         if g is not None and not np.isfinite(g).all():
-            raise NonFiniteError(f"step {step}: gradient of '{p.path}' is not finite")
+            raise NonFiniteError(f"{where}: gradient of '{p.path}' is not finite")
 
 
 def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int = 0,
@@ -287,7 +287,7 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
         loss = _batch_loss(model, dataset.clips[batch], dataset.labels[batch])
         model.zero_grads()
         loss.backward()
-        _check_gradients(trainable, step)
+        _check_gradients(trainable, f"step {step}")
         optimizer.step(trainable)
         history.losses.append(loss.item())
         if opt.eval_every and step % opt.eval_every == 0 and step < opt.steps:
@@ -320,7 +320,9 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
     Returns the worst relative error
     ``|analytic - numeric| / max(GRADCHECK_FLOOR, |analytic|, |numeric|)``
     over all trainable parameter entries, for the mean cross-entropy loss on
-    the given batch.
+    the given batch. A non-finite analytic gradient raises
+    :class:`~petl_lab.errors.NonFiniteError` naming its parameter; a
+    non-finite numeric gradient returns ``math.inf``.
     """
     clips = np.asarray(clips, dtype=np.float64)
     labels = np.asarray(labels)
@@ -336,6 +338,7 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
 
     model.zero_grads()
     _batch_loss(model, clips, labels).backward()
+    _check_gradients(trainable, "gradient check")
     analytic = {p.path: (np.zeros_like(p.tensor.data) if p.tensor.grad is None
                          else p.tensor.grad.copy())
                 for p in trainable}
@@ -353,6 +356,9 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
             down = _batch_loss_value(model, clips, labels)
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
+            if not math.isfinite(numeric):  # its NaN error would compare false below
+                return math.inf
+            # both sides finite: the error is finite, or inf on overflow
             err = abs(a_flat[i] - numeric) / max(GRADCHECK_FLOOR, abs(a_flat[i]), abs(numeric))
             if err > worst:
                 worst = err

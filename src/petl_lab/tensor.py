@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the models in this package is a :class:`Tensor`:
-a numpy float64 array plus an optional gradient buffer and a record of the
-operation that produced it. Calling :meth:`Tensor.backward` on a scalar walks
-the recorded operations in reverse topological order and accumulates
-``d(loss)/d(leaf)`` into every tracked leaf.
+a numpy float64 array plus, when it is tracked, a node of the autodiff
+graph. Calling :meth:`Tensor.backward` on a scalar walks the recorded nodes
+in reverse topological order and accumulates ``d(loss)/d(leaf)`` into every
+tracked leaf.
 
 Design constraints honored throughout:
 
@@ -17,26 +17,46 @@ Design constraints honored throughout:
 * a graph may be differentiated once; a second backward over the same
   recorded operations raises :class:`~petl_lab.errors.StaleGraphError`.
 
+The graph holds nodes and the arrays that rules read, never an op's output
+tensor. A node records the requires-grad flag, the gradient, the parent
+nodes, the backward rule and the consumed mark. A leaf tensor is its own
+node; an op output keeps its node apart, so its array is freed as soon as
+the forward code drops it unless some rule reads it. Each rule decides when
+it is recorded which arrays it reads, from which inputs require a gradient:
+
+* ``matmul`` and ``linear`` keep an operand only if the other one trains,
+  and ``mul`` keeps the other operand only for a tracked side;
+* ``add``, ``sub``, ``reshape``, ``transpose``, ``broadcast_to``,
+  ``concat``, ``gather_rows`` and ``tsum`` keep only shapes and indices;
+* ``relu`` keeps a boolean mask, ``softmax`` and ``tanh`` their output,
+  ``log_softmax`` its softmax, ``gelu`` its input and CDF, and
+  ``layer_norm`` the normalized input, plus the inverse deviation and
+  gamma if its input trains.
+
+A recorded rule sends gradients only to the inputs that required one when
+it was recorded. An op under :func:`no_grad`, or on inputs none of which
+requires a gradient, builds no node: its output is a leaf.
+
 Backward consumes its graph. A leaf owns its ``grad``: it copies the first
 contribution and adds later ones in place. An interior node borrows the
 array it is handed (made C-contiguous, as a copy would be) and adds a second
 contribution out of place, so no backward rule may write into a gradient it
 received. As soon as a node's rule has run, its gradient, rule and parents
-are dropped, so saved activations are freed while backward walks the graph;
-the node keeps only its ``_consumed`` mark.
+are dropped, so saved arrays are freed while backward walks the graph; the
+node keeps only its consumed mark.
 
-Two fused ops keep less than the op-by-op graphs they replace, whose every
-intermediate output would stay alive until backward. Each gives the same
-output and gradients bit for bit, and checks for non-finite values exactly
-where the per-op checks would have raised:
+Two fused ops keep less than the op-by-op graphs they replace. Each gives
+the same output and gradients bit for bit, and checks for non-finite values
+exactly where the per-op checks would have raised:
 
-* :func:`attention` (multi-head scaled dot-product attention) keeps only the
-  softmax output and reads q, k and v as views. It checks the biased logits
-  (finite there means the product, its scaling and the bias were finite, and
-  a softmax of finite logits lies in [0, 1]) and its output.
+* :func:`attention` (multi-head scaled dot-product attention) keeps the
+  softmax output, and q, k and v as views only where a gradient reads them.
+  It checks the biased logits (finite there means the product, its scaling
+  and the bias were finite, and a softmax of finite logits lies in [0, 1])
+  and its output.
 * :func:`mlp` (linear, exact GELU, linear) keeps the GELU derivative,
-  computed in forward only when the output is tracked, and the GELU output
-  only if the second weight requires a gradient. It checks the
+  computed in forward only when a gradient flows below the GELU, and the
+  GELU output only if the second weight requires a gradient. It checks the
   pre-activation (GELU of a finite value is finite) and its output.
 """
 
@@ -78,20 +98,46 @@ def _ensure_finite(data: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"operation '{op}' produced non-finite values")
 
 
-class Tensor:
-    """A dense float64 array with optional gradient tracking."""
+class _Node:
+    """One record of the autodiff graph; it refers to nodes, never to an op's output."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+
+    def __init__(self, requires_grad: bool, parents: tuple[_Node, ...] = (),
+                 backward_fn: Callable[[np.ndarray], None] | None = None):
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self._consumed = False
+
+    def _accum_grad(self, g: np.ndarray) -> None:
+        if self._backward_fn is None:  # a leaf owns its gradient, an array even if 0-d
+            if self.grad is None:
+                self.grad = np.array(g, order="C")
+            else:
+                self.grad += g
+        elif self.grad is None:  # an interior node borrows it; 0-d stays 0-d
+            self.grad = np.asarray(g, order="C")
+        else:
+            self.grad = np.add(self.grad, g, order="C")
+
+
+class Tensor(_Node):
+    """A dense float64 array with optional gradient tracking.
+
+    A leaf is its own graph node. A recorded op output keeps its node in
+    ``_op``; its own node fields then stay unused, except ``requires_grad``.
+    """
+
+    __slots__ = ("data", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         _ensure_finite(arr, "tensor construction")
+        super().__init__(bool(requires_grad))
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
-        self._consumed = False
+        self._op: _Node | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -105,7 +151,12 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return self._backward_fn is None and not self._consumed
+        return self._op is None
+
+    @property
+    def _node(self) -> _Node:
+        """This tensor's graph node: itself for a leaf."""
+        return self if self._op is None else self._op
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -119,15 +170,7 @@ class Tensor:
     # -- gradient bookkeeping -------------------------------------------
 
     def _accum_grad(self, g: np.ndarray) -> None:
-        if self._backward_fn is None:  # a leaf owns its gradient, an array even if 0-d
-            if self.grad is None:
-                self.grad = np.array(g, order="C")
-            else:
-                self.grad += g
-        elif self.grad is None:  # an interior node borrows it; 0-d stays 0-d
-            self.grad = np.asarray(g, order="C")
-        else:
-            self.grad = np.add(self.grad, g, order="C")
+        _Node._accum_grad(self._node, g)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -136,23 +179,24 @@ class Tensor:
         """Fill ``grad`` on every tracked leaf reachable from this scalar.
 
         Consumes the graph: each interior node drops its gradient, backward
-        rule and parents once its rule has run, so its saved arrays are freed
-        unless the caller still holds them. Leaves keep their ``grad``. A
-        second backward from this root, or from a graph built on any consumed
-        node, raises :class:`~petl_lab.errors.StaleGraphError`.
+        rule and parents once its rule has run, so the arrays it read are
+        freed unless the caller still holds them. Leaves keep their ``grad``.
+        A second backward from this root, or from a graph built on any
+        consumed node, raises :class:`~petl_lab.errors.StaleGraphError`.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
-        if self._consumed:
+        root = self._node
+        if root._consumed:
             raise StaleGraphError("graph already consumed by a previous backward pass")
-        if not self.requires_grad or self._backward_fn is None:
+        if root._backward_fn is None:
             raise StaleGraphError("backward() on an untracked value; no operations recorded")
 
         # Post-order DFS with an explicit stack; reversal gives reverse
         # topological order. Iterative to survive deep graphs.
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -168,7 +212,7 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()  # root first: every consumer runs before its inputs
             if node._backward_fn is None:
@@ -214,22 +258,31 @@ def _tracked(parents: Sequence[Tensor]) -> bool:
     return grad_enabled() and any(p.requires_grad for p in parents)
 
 
+def _wants(t: Tensor) -> _Node | None:
+    """The node an op recorded now sends ``t``'s gradient to, or None."""
+    return t._node if t.requires_grad and grad_enabled() else None
+
+
 def _make_op(data: np.ndarray, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], None] | None, op: str) -> Tensor:
-    """Assemble an operation output, recording it only when tracking is on."""
+    """Assemble an operation output, recording a node only when tracking is on.
+
+    The node's parents are the nodes of the inputs that require a gradient,
+    in the order given; ``backward_fn`` may close over input tensors.
+    """
     _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._parents = ()
+    out._backward_fn = None
     out._consumed = False
     if _tracked(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._op = _Node(True, tuple(p._node for p in parents if p.requires_grad), backward_fn)
     else:
         out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+        out._op = None
     return out
 
 
@@ -251,12 +304,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
+    ga, gb = _wants(a), _wants(b)
+    sa, sb = a.data.shape, b.data.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum_grad(_unbroadcast(g, b.data.shape))
+        if ga is not None:
+            ga._accum_grad(_unbroadcast(g, sa))
+        if gb is not None:
+            gb._accum_grad(_unbroadcast(g, sb))
 
     return _make_op(data, (a, b), backward_fn, "add")
 
@@ -264,12 +319,14 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data - b.data
+    ga, gb = _wants(a), _wants(b)
+    sa, sb = a.data.shape, b.data.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum_grad(_unbroadcast(-g, b.data.shape))
+        if ga is not None:
+            ga._accum_grad(_unbroadcast(g, sa))
+        if gb is not None:
+            gb._accum_grad(_unbroadcast(-g, sb))
 
     return _make_op(data, (a, b), backward_fn, "sub")
 
@@ -277,12 +334,16 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
+    ga, gb = _wants(a), _wants(b)
+    sa, sb = a.data.shape, b.data.shape
+    a_data = a.data if gb is not None else None
+    b_data = b.data if ga is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum_grad(_unbroadcast(g * a.data, b.data.shape))
+        if ga is not None:
+            ga._accum_grad(_unbroadcast(g * b_data, sa))
+        if gb is not None:
+            gb._accum_grad(_unbroadcast(g * a_data, sb))
 
     return _make_op(data, (a, b), backward_fn, "mul")
 
@@ -318,28 +379,35 @@ def _right_grad(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return _unbroadcast(np.swapaxes(a, -1, -2) @ g, shape)
 
 
-def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
-    if a.requires_grad:
-        a._accum_grad(_left_grad(g, b.data, a.data.shape))
-    if b.requires_grad:
-        b._accum_grad(_right_grad(a.data, g, b.data.shape))
+def _affine_rule(x: Tensor, weight: Tensor, bias: Tensor | None) -> Callable[[np.ndarray], None]:
+    """The backward rule of ``x @ weight (+ bias)``.
 
+    It keeps ``x`` only if ``weight`` requires a gradient and ``weight`` only
+    if ``x`` does; the bias contributes its shape.
+    """
+    gx, gw = _wants(x), _wants(weight)
+    gb = None if bias is None else _wants(bias)
+    sx, sw = x.data.shape, weight.data.shape
+    sb = None if bias is None else bias.data.shape
+    x_data = x.data if gw is not None else None
+    w_data = weight.data if gx is not None else None
 
-def _affine_backward(x: Tensor, weight: Tensor, bias: Tensor, g: np.ndarray) -> None:
-    _matmul_backward(x, weight, g)
-    if bias.requires_grad:
-        bias._accum_grad(_unbroadcast(g, bias.data.shape))
+    def backward_fn(g):
+        if gx is not None:
+            gx._accum_grad(_left_grad(g, w_data, sx))
+        if gw is not None:
+            gw._accum_grad(_right_grad(x_data, g, sw))
+        if gb is not None:
+            gb._accum_grad(_unbroadcast(g, sb))
+
+    return backward_fn
 
 
 def matmul(a, b) -> Tensor:
     """Batched matrix product ``a @ b`` with numpy broadcasting on batch dims."""
     a, b = _as_tensor(a), _as_tensor(b)
     data = _product(a.data, b.data)
-
-    def backward_fn(g):
-        _matmul_backward(a, b, g)
-
-    return _make_op(data, (a, b), backward_fn, "matmul")
+    return _make_op(data, (a, b), _affine_rule(a, b, None), "matmul")
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -353,11 +421,7 @@ def linear(x, weight, bias) -> Tensor:
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     data = _affine(x.data, weight.data, bias.data)
-
-    def backward_fn(g):
-        _affine_backward(x, weight, bias, g)
-
-    return _make_op(data, (x, weight, bias), backward_fn, "linear")
+    return _make_op(data, (x, weight, bias), _affine_rule(x, weight, bias), "linear")
 
 
 # -- shape manipulation ----------------------------------------------------
@@ -366,10 +430,10 @@ def linear(x, weight, bias) -> Tensor:
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     data = t.data.reshape(shape)
+    node, source = t._node, t.data.shape
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(g.reshape(t.data.shape))
+        node._accum_grad(g.reshape(source))
 
     return _make_op(data, (t,), backward_fn, "reshape")
 
@@ -387,10 +451,10 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"transpose axes {given} are not a permutation of the axes of {t.shape}")
     inverse = tuple(np.argsort(axes))
     data = t.data.transpose(axes)
+    node = t._node
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(g.transpose(inverse))
+        node._accum_grad(g.transpose(inverse))
 
     return _make_op(data, (t,), backward_fn, "transpose")
 
@@ -398,10 +462,10 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
 def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
     """Repeat ``t`` along new or unit axes to ``shape`` (numpy broadcasting)."""
     data = np.broadcast_to(t.data, tuple(shape))
+    node, source = t._node, t.data.shape
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(_unbroadcast(g, t.data.shape))
+        node._accum_grad(_unbroadcast(g, source))
 
     return _make_op(data, (t,), backward_fn, "broadcast_to")
 
@@ -411,14 +475,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    nodes = [_wants(t) for t in tensors]
 
     def backward_fn(g):
-        pieces = np.split(g, offsets, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accum_grad(piece)
+        for node, piece in zip(nodes, np.split(g, offsets, axis=axis)):
+            if node is not None:
+                node._accum_grad(piece)
 
     return _make_op(data, tuple(tensors), backward_fn, "concat")
 
@@ -448,16 +511,16 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
             idx = np.where(idx < 0, idx + n, idx)
     idx = idx.astype(np.intp, copy=False)
     data = np.take(t.data, idx, axis=axis)
+    node, source = t._node, t.data.shape
 
     def backward_fn(g):
-        if t.requires_grad:
-            buf = np.zeros_like(t.data)
-            where = (slice(None),) * axis + (idx,)
-            if np.bincount(idx.reshape(-1), minlength=n).max(initial=0) > 1:
-                np.add.at(buf, where, g)
-            else:
-                buf[where] = g
-            t._accum_grad(buf)
+        buf = np.zeros(source)
+        where = (slice(None),) * axis + (idx,)
+        if np.bincount(idx.reshape(-1), minlength=n).max(initial=0) > 1:
+            np.add.at(buf, where, g)
+        else:
+            buf[where] = g
+        node._accum_grad(buf)
 
     return _make_op(data, (t,), backward_fn, "gather_rows")
 
@@ -467,15 +530,11 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
 
 def tsum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     data = t.data.sum(axis=axis, keepdims=keepdims)
+    node, source = t._node, t.data.shape
 
     def backward_fn(g):
-        if not t.requires_grad:
-            return
-        if axis is None:
-            t._accum_grad(np.broadcast_to(g, t.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            t._accum_grad(np.broadcast_to(gg, t.data.shape).copy())
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        node._accum_grad(np.broadcast_to(gg, source).copy())
 
     return _make_op(np.asarray(data), (t,), backward_fn, "sum")
 
@@ -508,10 +567,10 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     if not -t.data.ndim <= axis < t.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {t.shape}")
     y = _softmax(t.data, axis)
+    node = t._node
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(_softmax_backward(g, y, axis))
+        node._accum_grad(_softmax_backward(g, y, axis))
 
     return _make_op(y, (t,), backward_fn, "softmax")
 
@@ -525,10 +584,10 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
     sm = np.exp(data)
+    node = t._node
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(g - sm * g.sum(axis=axis, keepdims=True))
+        node._accum_grad(g - sm * g.sum(axis=axis, keepdims=True))
 
     return _make_op(data, (t,), backward_fn, "log_softmax")
 
@@ -545,19 +604,22 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gamma.data + beta.data
+    gt, gg, gb = _wants(t), _wants(gamma), _wants(beta)
+    kept_xhat = xhat if gt is not None or gg is not None else None
+    kept_inv_std, gamma_data = (inv_std, gamma.data) if gt is not None else (None, None)
 
     def backward_fn(g):
         lead = tuple(range(g.ndim - 1))
-        if beta.requires_grad:
-            beta._accum_grad(g.sum(axis=lead))
-        if gamma.requires_grad:
-            gamma._accum_grad((g * xhat).sum(axis=lead))
-        if t.requires_grad:
-            gx = g * gamma.data
-            t._accum_grad(inv_std * (
+        if gb is not None:
+            gb._accum_grad(g.sum(axis=lead))
+        if gg is not None:
+            gg._accum_grad((g * kept_xhat).sum(axis=lead))
+        if gt is not None:
+            gx = g * gamma_data
+            gt._accum_grad(kept_inv_std * (
                 gx
                 - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+                - kept_xhat * (gx * kept_xhat).mean(axis=-1, keepdims=True)))
 
     return _make_op(data, (t, gamma, beta), backward_fn, "layer_norm")
 
@@ -567,20 +629,21 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def relu(t: Tensor) -> Tensor:
     data = np.maximum(t.data, 0.0)
+    node = _wants(t)
+    mask = t.data > 0.0 if node is not None else None
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(g * (t.data > 0.0))
+        node._accum_grad(g * mask)
 
     return _make_op(data, (t,), backward_fn, "relu")
 
 
 def tanh(t: Tensor) -> Tensor:
     data = np.tanh(t.data)
+    node = t._node
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(g * (1.0 - data * data))
+        node._accum_grad(g * (1.0 - data * data))
 
     return _make_op(data, (t,), backward_fn, "tanh")
 
@@ -607,11 +670,12 @@ def _gelu_derivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 def gelu(t: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: ``x * Phi(x)`` (no tanh approximation)."""
-    data, cdf = _gelu(t.data)
+    x = t.data
+    data, cdf = _gelu(x)
+    node = t._node
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accum_grad(g * _gelu_derivative(t.data, cdf))
+        node._accum_grad(g * _gelu_derivative(x, cdf))
 
     return _make_op(data, (t,), backward_fn, "gelu")
 
@@ -622,34 +686,37 @@ def gelu(t: Tensor) -> Tensor:
 def mlp(x, w1, b1, w2, b2) -> Tensor:
     """Two-layer perceptron ``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op.
 
-    Output and gradients equal the three-op form bit for bit. The graph
-    keeps the GELU derivative, computed in forward and only when the output
-    is tracked, and the GELU output only if ``w2`` requires a gradient. The
-    pre-activation ``h`` and the output are checked for finite values; GELU
-    of a finite value is finite.
+    Output and gradients equal the three-op form bit for bit. When ``x``,
+    ``w1`` or ``b1`` requires a gradient, the graph keeps the GELU
+    derivative, computed in forward, and ``w2``. It keeps ``x`` only if
+    ``w1`` requires a gradient, ``w1`` only if ``x`` does, and the GELU
+    output only if ``w2`` does. The pre-activation ``h`` and the output are
+    checked for finite values; GELU of a finite value is finite.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    parents = (x, w1, b1, w2, b2)
     h = _affine(x.data, w1.data, b1.data)
     _ensure_finite(h, "mlp hidden")
     hidden, cdf = _gelu(h)
     data = _affine(hidden, w2.data, b2.data)
-    if _tracked(parents):
-        slope = _gelu_derivative(h, cdf)
-        kept = hidden if w2.requires_grad else None
+    g_w2, g_b2 = _wants(w2), _wants(b2)
+    below = _tracked((x, w1, b1))
+    first = _affine_rule(x, w1, b1)
+    slope = _gelu_derivative(h, cdf) if below else None
+    w2_data = w2.data if below else None
+    kept_hidden = hidden if g_w2 is not None else None
+    s_w2, s_b2 = w2.data.shape, b2.data.shape
 
     def backward_fn(g):
-        below = x.requires_grad or w1.requires_grad or b1.requires_grad
         if below:
-            g_hidden = _left_grad(g, w2.data, slope.shape)
-        if w2.requires_grad:
-            w2._accum_grad(_right_grad(kept, g, w2.data.shape))
-        if b2.requires_grad:
-            b2._accum_grad(_unbroadcast(g, b2.data.shape))
+            g_hidden = _left_grad(g, w2_data, slope.shape)
+        if g_w2 is not None:
+            g_w2._accum_grad(_right_grad(kept_hidden, g, s_w2))
+        if g_b2 is not None:
+            g_b2._accum_grad(_unbroadcast(g, s_b2))
         if below:
-            _affine_backward(x, w1, b1, g_hidden * slope)
+            first(g_hidden * slope)
 
-    return _make_op(data, parents, backward_fn, "mlp")
+    return _make_op(data, (x, w1, b1, w2, b2), backward_fn, "mlp")
 
 
 def attention(q, k, v, bias, heads: int) -> Tensor:
@@ -663,8 +730,9 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
 
     Output and gradients equal the op-by-op form (reshape and transpose of
     q, k and v, matmul, scale, bias add, softmax, matmul, merge) bit for bit.
-    The graph keeps only the softmax output; q, k and v are read as views.
-    The biased logits and the output are checked for finite values: finite
+    The graph keeps the softmax output and, as views, q only if k requires a
+    gradient, k only if q does, and v only if q, k or the bias does. The
+    biased logits and the output are checked for finite values: finite
     biased logits mean the product, the scaled product and the bias were
     finite, and a softmax of finite logits lies in [0, 1].
     """
@@ -691,9 +759,11 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
     logits = _product(qh, kh)
     logits *= scale
     parents = (q, k, v)
+    g_bias = None
     if bias is not None:
         bias = _as_tensor(bias)
         parents = (q, k, bias, v)  # the op-by-op graph's visiting order
+        g_bias = _wants(bias)
         try:
             logits += bias.data
         except ValueError as exc:
@@ -703,23 +773,31 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
     att = _softmax(logits, -1)
     data = _product(att, vh).transpose(split).reshape(*lead, n, d)
 
+    g_q, g_k, g_v = _wants(q), _wants(k), _wants(v)
+    to_logits = g_q is not None or g_k is not None or g_bias is not None
+    kept_qh = qh if g_k is not None else None
+    kept_kh = kh if g_q is not None else None
+    kept_vh = vh if to_logits else None
+    s_q, s_k, s_v = q.data.shape, k.data.shape, v.data.shape
+    s_qh, s_kh, s_vh = qh.shape, kh.shape, vh.shape
+    s_bias = None if bias is None else bias.data.shape
+
     def backward_fn(g):
         # the merge undone, into the C-contiguous copy the op-by-op graph fed its matmuls
         g_out = np.ascontiguousarray(g.reshape(*lead, n, heads, hd).transpose(split))
-        bias_grad = bias is not None and bias.requires_grad
-        if q.requires_grad or k.requires_grad or bias_grad:
-            g_logits = _softmax_backward(_left_grad(g_out, vh, att.shape), att, -1)
-            if bias_grad:
-                bias._accum_grad(_unbroadcast(g_logits, bias.data.shape))
+        if to_logits:
+            g_logits = _softmax_backward(_left_grad(g_out, kept_vh, att.shape), att, -1)
+            if g_bias is not None:
+                g_bias._accum_grad(_unbroadcast(g_logits, s_bias))
             g_prod = g_logits * scale
-        if q.requires_grad:
-            g_qh = _left_grad(g_prod, kh, qh.shape)
-            q._accum_grad(g_qh.transpose(split).reshape(q.data.shape))
-        if k.requires_grad:
-            g_kh = _right_grad(qh, g_prod, kh.shape)
-            k._accum_grad(g_kh.transpose(k_merge).reshape(k.data.shape))
-        if v.requires_grad:
-            g_vh = _right_grad(att, g_out, vh.shape)
-            v._accum_grad(g_vh.transpose(split).reshape(v.data.shape))
+        if g_q is not None:
+            g_qh = _left_grad(g_prod, kept_kh, s_qh)
+            g_q._accum_grad(g_qh.transpose(split).reshape(s_q))
+        if g_k is not None:
+            g_kh = _right_grad(kept_qh, g_prod, s_kh)
+            g_k._accum_grad(g_kh.transpose(k_merge).reshape(s_k))
+        if g_v is not None:
+            g_vh = _right_grad(att, g_out, s_vh)
+            g_v._accum_grad(g_vh.transpose(split).reshape(s_v))
 
     return _make_op(data, parents, backward_fn, "attention")

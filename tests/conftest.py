@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from petl_lab import ModelConfig
+from petl_lab import tensor as T
 from petl_lab.backbone import AttentionExtras
 
 # Four stages, one shifted block (stage 2, block 1), small enough for
@@ -49,3 +50,15 @@ class FixedRows:
 
     def ffn_output(self, out, z_hat, ln2, ffn):
         return out
+
+
+def nan_add(a, b):
+    """``T.add`` with every backward contribution multiplied by NaN."""
+    a, b = T._as_tensor(a), T._as_tensor(b)
+
+    def backward_fn(g):
+        for t in (a, b):
+            if t.requires_grad:
+                t._accum_grad(T._unbroadcast(g, t.data.shape) * np.nan)
+
+    return T._make_op(a.data + b.data, (a, b), backward_fn, "add")

@@ -431,6 +431,21 @@ def test_checkpoint_shape_mismatch_writes_nothing(tmp_path):
     assert _weights_and_flags(target) == before
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("spoiled", ["patch_embed.proj.weight", "head.weight"])
+def test_checkpoint_with_nonfinite_values_writes_nothing(spoiled, bad, tmp_path):
+    path = tmp_path / "weights.ckpt"
+    source = build_model(NANO, seed=9)
+    source.registry.get(spoiled).tensor.data.reshape(-1)[3] = bad
+    save_checkpoint(source, path)
+    target = build_model(NANO, seed=11)
+    freeze_backbone(target, PETLSpec())
+    before = _weights_and_flags(target)
+    with pytest.raises(ConfigError, match=f"{path}: '{spoiled}' holds non-finite values"):
+        load_checkpoint(target, path)
+    assert _weights_and_flags(target) == before
+
+
 def _rewrite_checkpoint(path, edit_manifest=None, payload_suffix=b""):
     header, payload = path.read_bytes().split(b"\n", 1)
     manifest = json.loads(header)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import threading
 
 import numpy as np
@@ -10,11 +11,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petl_lab import ConfigError, experiment, head_count
+from petl_lab import ConfigError, experiment, harness, head_count
+from petl_lab import tensor as T
 from petl_lab.cli import main as cli_main
 from petl_lab.experiment import (TradeoffReport, config_from_dict, config_to_dict,
                                  emit_counts, parse_config, plot_tradeoff,
                                  run_experiment, run_gradcheck, serialize_config)
+
+from conftest import nan_add
 
 BASE = {
     "schema_version": 1,
@@ -519,6 +523,28 @@ def test_cli_gradcheck_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path, raw)
     assert cli_main(["gradcheck", "--config", str(path), "--quiet"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fault", ["nan-analytic", "infinite-numeric"])
+def test_cli_gradcheck_fails_on_nonfinite_gradients(fault, tmp_path, monkeypatch, capsys):
+    raw = make_config(model={"dims": [2, 2, 4, 4], "heads": [1, 1, 2, 2]},
+                      petl={"mechanisms": ["patt"], "d_bottle": 2})
+    path = write_config(tmp_path, raw)
+    if fault == "nan-analytic":
+        monkeypatch.setattr(T, "add", nan_add)
+        expected = "is not finite"
+    else:
+        loss_value = harness._batch_loss_value
+        calls = []
+
+        def infinite_once(*args):
+            calls.append(args)
+            return math.inf if len(calls) == 1 else loss_value(*args)
+
+        monkeypatch.setattr(harness, "_batch_loss_value", infinite_once)
+        expected = "gradcheck FAILED: inf"
+    assert cli_main(["gradcheck", "--config", str(path), "--quiet"]) == 1
+    assert expected in capsys.readouterr().err
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

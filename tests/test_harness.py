@@ -1,4 +1,7 @@
+import gc
 import hashlib
+import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +13,10 @@ from petl_lab import (SWIN_MICRO, ConfigError, ModelConfig, NonFiniteError, Opti
                       freeze_backbone, grad_check, make_dataset, train)
 from petl_lab import tensor as tensor_mod
 from petl_lab import tensor as T
+from petl_lab import harness
 from petl_lab.harness import SyntheticVideoDataset, _batch_loss, make_optimizer
 
-from conftest import TINY
+from conftest import TINY, nan_add
 
 
 # -- synthetic dataset ------------------------------------------------------------
@@ -378,6 +382,29 @@ def test_grad_check_linear_model():
     assert err < 1e-8
 
 
+def test_grad_check_fails_on_a_nan_analytic_gradient(monkeypatch):
+    # a NaN error compares false with the worst so far, so it was skipped
+    model = LinearProbe(6, 3, seed=16)
+    clips = np.random.default_rng(16).normal(size=(2, 6))
+    monkeypatch.setattr(tensor_mod, "add", nan_add)
+    with pytest.raises(NonFiniteError, match="gradient check: gradient of 'probe.weight'"):
+        grad_check(model, clips, np.array([0, 2]))
+
+
+def test_grad_check_returns_inf_on_a_nonfinite_numeric_gradient(monkeypatch):
+    model = LinearProbe(6, 3, seed=16)
+    clips = np.random.default_rng(16).normal(size=(2, 6))
+    loss_value = harness._batch_loss_value
+    calls = []
+
+    def infinite_once(*args):
+        calls.append(args)
+        return math.inf if len(calls) == 1 else loss_value(*args)
+
+    monkeypatch.setattr(harness, "_batch_loss_value", infinite_once)
+    assert grad_check(model, clips, np.array([0, 2])) == math.inf
+
+
 def test_grad_check_param_limit():
     model = LinearProbe(60_000, 3, seed=14)
     with pytest.raises(ConfigError):
@@ -510,6 +537,25 @@ def test_batch_loss_gradient_matches_chained_clip_losses(cfg_name):
     assert abs(batched_loss - chained_loss) <= 1e-12 * abs(chained_loss)
     for path, g in chained.items():
         assert np.abs(batched[path] - g).max() <= 1e-12 * np.abs(g).max(), path
+
+
+def test_training_forward_graph_holds_only_what_backward_reads():
+    # Swin-BAPAT on SWIN_MICRO at batch 16: the graph holds the arrays some rule
+    # reads (about 20 MB), not every op output (about 45 MB)
+    model = build_swin_bapat(SWIN_MICRO, seed=0)
+    freeze_backbone(model, model.petl_spec)
+    ds = make_dataset(SWIN_MICRO.num_classes, 4, SWIN_MICRO.input_size, seed=3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = _batch_loss(model, ds.clips[:16], ds.labels[:16])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 26e6, f"the graph holds {held / 1e6:.1f} MB"
+    model.zero_grads()
+    loss.backward()
 
 
 # -- pinned end-to-end digests -------------------------------------------------------

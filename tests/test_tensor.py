@@ -428,6 +428,66 @@ def test_layer_norm_gradients_property(shape, seed):
         weighted_sum(lambda: T.layer_norm(x, gamma, beta, 1e-5), rng), [x, gamma, beta])
 
 
+@settings(max_examples=30, deadline=None)
+@given(shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3),
+       data=st.data(), seed=SEEDS)
+def test_reshape_gradients_property(shape, data, seed):
+    rng = np.random.default_rng(seed)
+    target = (*data.draw(st.permutations(shape), label="target"),
+              *data.draw(st.lists(st.just(1), max_size=1), label="unit axis"))
+    x = leaf(rng, shape)
+    assert_grads_match_central_differences(weighted_sum(lambda: T.reshape(x, target), rng), [x])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
+       seed=SEEDS)
+def test_log_softmax_gradients_property(data, shape, seed):
+    rng = np.random.default_rng(seed)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    x = leaf(rng, shape)
+    assert_grads_match_central_differences(
+        weighted_sum(lambda: T.log_softmax(x, axis=axis), rng), [x])
+
+
+@settings(max_examples=30, deadline=None)
+@given(op=st.sampled_from(("relu", "tanh")), shape=SHAPES, seed=SEEDS)
+def test_relu_and_tanh_gradients_property(op, shape, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=shape)
+    # at least 0.1 from relu's kink, far beyond the central-difference step
+    x = Tensor(np.sign(u) * (0.1 + np.abs(u)) + (u == 0), requires_grad=True)
+    assert_grads_match_central_differences(weighted_sum(lambda: getattr(T, op)(x), rng), [x])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=2),
+       n=st.integers(1, 3), m=st.integers(1, 3), heads=st.integers(1, 2),
+       hd=st.integers(1, 2), seed=SEEDS)
+def test_attention_gradients_property(data, lead, n, m, heads, hd, seed):
+    rng = np.random.default_rng(seed)
+    d = heads * hd
+    q, k, v = leaf(rng, (*lead, n, d)), leaf(rng, (*lead, m, d)), leaf(rng, (*lead, m, d))
+    leaves = [q, k, v]
+    bias = None
+    if data.draw(st.booleans(), label="bias"):
+        bias = leaf(rng, data.draw(broadcast_source((*lead, heads, n, m)), label="bias shape"))
+        leaves.append(bias)
+    assert_grads_match_central_differences(
+        weighted_sum(lambda: T.attention(q, k, v, bias, heads), rng), leaves)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=hnp.array_shapes(min_dims=0, max_dims=1, min_side=1, max_side=3),
+       n=st.integers(1, 3), d_in=st.integers(1, 3), hidden=st.integers(1, 4),
+       d_out=st.integers(1, 3), seed=SEEDS)
+def test_mlp_gradients_property(lead, n, d_in, hidden, d_out, seed):
+    rng = np.random.default_rng(seed)
+    leaves = [leaf(rng, s) for s in ((*lead, n, d_in), (d_in, hidden), (hidden,),
+                                     (hidden, d_out), (d_out,))]
+    assert_grads_match_central_differences(weighted_sum(lambda: T.mlp(*leaves), rng), leaves)
+
+
 def test_transpose_negative_axes_and_bad_permutations(rng):
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = rng.normal(size=(4, 2, 3))
@@ -554,27 +614,109 @@ def test_mlp_equals_op_by_op_bitwise(lead, rng):
     assert_fused_equals_op_by_op_bitwise(T.mlp, mlp_op_by_op, arrays)
 
 
-def saved_arrays(out):
-    """The arrays a node's backward rule holds that own their memory (not views)."""
-    return [c.cell_contents for c in out._backward_fn.__closure__
-            if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.base is None]
+def saved_arrays(out, inputs):
+    """The arrays a node's backward rule holds that own their memory (not views)
+    and are not the data of one of its ``inputs``."""
+    return [c.cell_contents for c in out._node._backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.base is None
+            and not any(c.cell_contents is t.data for t in inputs)]
 
 
 def test_fused_ops_keep_only_what_backward_reads(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     frozen = [Tensor(rng.normal(size=s)) for s in ((4, 8), (8,), (8, 4), (4,))]
-    kept = saved_arrays(T.mlp(x, *frozen))
+    kept = saved_arrays(T.mlp(x, *frozen), [x, *frozen])
     assert [a.shape for a in kept] == [(3, 8)]  # the GELU derivative alone
     with T.no_grad():
-        assert T.mlp(x, *frozen)._backward_fn is None
+        assert T.mlp(x, *frozen)._node._backward_fn is None
     trained_w2 = Tensor(frozen[2].data, requires_grad=True)
-    kept = saved_arrays(T.mlp(x, frozen[0], frozen[1], trained_w2, frozen[3]))
+    kept = saved_arrays(T.mlp(x, frozen[0], frozen[1], trained_w2, frozen[3]),
+                        [x, *frozen, trained_w2])
     assert [a.shape for a in kept] == [(3, 8), (3, 8)]  # and the GELU output
 
     q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     bias = Tensor(rng.normal(size=(2, 3, 3)))
-    kept = saved_arrays(T.attention(q, q, q, bias, 2))
+    kept = saved_arrays(T.attention(q, q, q, bias, 2), [q, bias])
     assert [a.shape for a in kept] == [(2, 2, 3, 3)]  # the softmax alone; q, k, v as views
+
+
+def kept_when_tracked(pairs):
+    """The inputs the graph keeps: ``i`` for each pair ``(i, j)`` whose input ``j``
+    is tracked."""
+    return lambda tracked: {i for i, j in pairs if tracked[j]}
+
+
+KEEPS_NOTHING = kept_when_tracked(())
+
+# name -> (op over input tensors, input shapes, the inputs whose arrays the graph
+# keeps given which inputs are tracked, whether it keeps the output array)
+OP_CASES = {
+    "add": (T.add, [(3, 4), (1, 4)], KEEPS_NOTHING, False),
+    "sub": (T.sub, [(3, 4), (4,)], KEEPS_NOTHING, False),
+    "mul": (T.mul, [(3, 4), (1, 4)], kept_when_tracked([(0, 1), (1, 0)]), False),
+    "matmul": (T.matmul, [(2, 3, 4), (4, 5)], kept_when_tracked([(0, 1), (1, 0)]), False),
+    "linear": (T.linear, [(3, 4), (4, 5), (5,)], kept_when_tracked([(0, 1), (1, 0)]),
+               False),
+    "reshape": (lambda x: T.reshape(x, (4, 3)), [(3, 4)], KEEPS_NOTHING, False),
+    "transpose": (lambda x: T.transpose(x, (2, 0, 1)), [(2, 3, 4)], KEEPS_NOTHING, False),
+    "broadcast_to": (lambda x: T.broadcast_to(x, (3, 4)), [(1, 4)], KEEPS_NOTHING, False),
+    "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)], KEEPS_NOTHING, False),
+    "gather_rows": (lambda x: T.gather_rows(x, [0, 2, 2]), [(4, 3)], KEEPS_NOTHING, False),
+    "tsum": (lambda x: T.tsum(x, axis=1), [(3, 4)], KEEPS_NOTHING, False),
+    "tmean": (lambda x: T.tmean(x, axis=0), [(3, 4)], KEEPS_NOTHING, False),
+    "softmax": (T.softmax, [(3, 4)], KEEPS_NOTHING, True),
+    "log_softmax": (T.log_softmax, [(3, 4)], KEEPS_NOTHING, False),
+    "layer_norm": (T.layer_norm, [(3, 4), (4,), (4,)], kept_when_tracked([(1, 0)]), False),
+    "relu": (T.relu, [(3, 4)], KEEPS_NOTHING, False),  # a boolean mask instead
+    "tanh": (T.tanh, [(3, 4)], KEEPS_NOTHING, True),
+    "gelu": (T.gelu, [(3, 4)], kept_when_tracked([(0, 0)]), False),
+    "mlp": (T.mlp, [(3, 4), (4, 6), (6,), (6, 2), (2,)],
+            kept_when_tracked([(0, 1), (1, 0), (3, 0), (3, 1), (3, 2)]), False),
+    "attention": (lambda q, k, v, bias: T.attention(q, k, v, bias, 2),
+                  [(2, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 5)],
+                  kept_when_tracked([(0, 1), (1, 0), (2, 0), (2, 1), (2, 3)]), False),
+}
+
+
+def tracked_patterns(n):
+    return list(itertools.product([False, True], repeat=n))
+
+
+@pytest.mark.parametrize("name", OP_CASES)
+def test_each_op_keeps_only_the_arrays_its_backward_reads(name):
+    op, shapes, keeps, keeps_output = OP_CASES[name]
+    for tracked in tracked_patterns(len(shapes)):
+        rng = np.random.default_rng(0)
+        # a tracked input is an op output, so that only the rules can keep its array
+        inputs = [T.mul(Tensor(rng.normal(size=s), requires_grad=True), 1.0) if f
+                  else Tensor(rng.normal(size=s)) for s, f in zip(shapes, tracked)]
+        alive = [weakref.ref(t.data) for t in inputs]
+        out = op(*inputs)
+        out_alive = weakref.ref(out.data)
+        root = T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape))))
+        del inputs, out
+        expected = keeps(tracked) if any(tracked) else set()
+        assert {i for i, ref in enumerate(alive) if ref() is not None} == expected, tracked
+        assert (out_alive() is not None) == (keeps_output and any(tracked)), tracked
+        if any(tracked):
+            root.backward()  # frees every array the graph kept
+            assert all(ref() is None for ref in [*alive, out_alive]), tracked
+
+
+@pytest.mark.parametrize("name", OP_CASES)
+def test_input_gradients_do_not_depend_on_which_other_inputs_train(name):
+    op, shapes, _, _ = OP_CASES[name]
+    grads = {}
+    for tracked in tracked_patterns(len(shapes))[1:]:
+        rng = np.random.default_rng(1)
+        inputs = [Tensor(rng.normal(size=s), requires_grad=f) for s, f in zip(shapes, tracked)]
+        out = op(*inputs)
+        T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        for i, t in enumerate(inputs):
+            assert (t.grad is not None) == tracked[i], (tracked, i)
+            if t.grad is not None:
+                first = grads.setdefault(i, t.grad.tobytes())
+                assert t.grad.tobytes() == first, (tracked, i)
 
 
 def fault_cases():
