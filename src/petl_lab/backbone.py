@@ -247,8 +247,8 @@ def window_attention(x: Tensor, w: dict[str, Tensor],
     k = project(w["attn.k.weight"], w["attn.k.bias"], add_k)
     v = project(w["attn.v.weight"], w["attn.v.bias"], add_v)
 
-    if extra_k is not None:
-        if extra_v is None or extra_k.data.shape != extra_v.data.shape:
+    if extra_k is not None or extra_v is not None:
+        if extra_k is None or extra_v is None or extra_k.data.shape != extra_v.data.shape:
             raise ShapeError("extra key/value rows must come in matching pairs")
         n_extra = extra_k.data.shape[0]
         if n_extra:
@@ -306,7 +306,7 @@ def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float
                 w["ffn.fc2.weight"], w["ffn.fc2.bias"])
     out = T.add(ffn, z_hat)
     if hooks is not None:
-        out = hooks.ffn_output(out, z_hat=z_hat, ln2=ln2, ffn=ffn)
+        out = hooks.ffn_output(out, ln2=ln2, ffn=ffn)
     return out
 
 

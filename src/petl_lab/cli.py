@@ -64,7 +64,7 @@ def main(argv=None) -> int:
         elif args.verb == "gradcheck":
             err = run_gradcheck(cfg, quiet=args.quiet)
             if err >= GRADCHECK_TOLERANCE:
-                print(f"gradcheck FAILED: {err:.3e} >= {GRADCHECK_TOLERANCE}",
+                print(f"gradcheck FAILED: {err:.3e} >= {GRADCHECK_TOLERANCE} ({err.entry()})",
                       file=sys.stderr)
                 return 1
         elif args.verb == "plot":

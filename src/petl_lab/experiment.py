@@ -44,8 +44,8 @@ import yaml
 
 from .backbone import SWIN_B, SWIN_MICRO, ModelConfig, build_model
 from .errors import ConfigError, GeometryError
-from .harness import (OptimizerConfig, SyntheticVideoDataset, grad_check, make_dataset,
-                      train)
+from .harness import (GradCheckResult, OptimizerConfig, SyntheticVideoDataset, grad_check,
+                      make_dataset, train)
 from .petl import PETLSpec, attach_petl
 from .registry import (backbone_parameter_plan, count_params, freeze_backbone,
                        head_count, millions, petl_parameter_plan, plan_total,
@@ -87,10 +87,6 @@ class AblationAxes:
 
     def combos(self):
         return itertools.product(self.d_bottle, self.s, self.sites, self.frames)
-
-    @property
-    def size(self) -> int:
-        return (len(self.d_bottle) * len(self.s) * len(self.sites) * len(self.frames))
 
 
 @dataclass(frozen=True)
@@ -204,16 +200,8 @@ def _validated(model: ModelConfig) -> ModelConfig:
 
 
 def _model_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "input": list(cfg.input_size),
-        "patch": list(cfg.patch_size),
-        "dims": list(cfg.embed_dims),
-        "blocks": list(cfg.blocks_per_stage),
-        "heads": list(cfg.heads_per_stage),
-        "window": list(cfg.window_size),
-        "ffn_ratio": cfg.ffn_ratio,
-        "num_classes": cfg.num_classes,
-    }
+    values = {key: getattr(cfg, field) for key, field in _MODEL_FIELDS.items()}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
 def _sites_tuple(name: str) -> tuple[str, ...]:
@@ -548,7 +536,8 @@ def plot_tradeoff(report: TradeoffReport, path) -> None:
                 writer.writerow([mech, f"{row.trainable_millions:.2f}", repr(top1)])
 
 
-def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False, eps: float = 1e-5) -> float:
+def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False,
+                  eps: float = 1e-5) -> GradCheckResult:
     """Build the config's model, freeze the backbone, and finite-difference it."""
     ds = make_dataset(cfg.dataset.n_classes, 1,
                       (cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width),
@@ -558,5 +547,5 @@ def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False, eps: float = 1e-5)
     freeze_backbone(model, cfg.petl)
     err = grad_check(model, ds.clips[:2], ds.labels[:2], eps=eps)
     if not quiet:
-        print(f"gradcheck max relative error: {err:.3e}")
+        print(f"gradcheck max relative error: {err:.3e} ({err.entry()})")
     return err

@@ -313,23 +313,42 @@ def _batch_loss_value(model, clips: np.ndarray, labels: np.ndarray) -> float:
     return total / len(labels)
 
 
+class GradCheckResult(float):
+    """The worst relative error of :func:`grad_check`, a float, and where it was.
+
+    ``path`` names the parameter and ``index`` the entry of its flattened
+    array; ``analytic`` and ``numeric`` are the two gradients there.
+    """
+
+    def __new__(cls, error: float, path: str, index: int, analytic: float, numeric: float):
+        result = super().__new__(cls, error)
+        result.path, result.index = path, index
+        result.analytic, result.numeric = float(analytic), float(numeric)
+        return result
+
+    def entry(self) -> str:
+        return (f"worst entry {self.path}[{self.index}]: analytic {self.analytic:.6e}, "
+                f"numeric {self.numeric:.6e}")
+
+
 def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
-               max_params: int = 50_000) -> float:
+               max_params: int = 50_000) -> GradCheckResult:
     """Central-difference verification of every trainable parameter.
 
     Returns the worst relative error
     ``|analytic - numeric| / max(GRADCHECK_FLOOR, |analytic|, |numeric|)``
     over all trainable parameter entries, for the mean cross-entropy loss on
-    the given batch. A non-finite analytic gradient raises
-    :class:`~petl_lab.errors.NonFiniteError` naming its parameter; a
-    non-finite numeric gradient returns ``math.inf``.
+    the given batch, with the entry it came from. A non-finite analytic
+    gradient raises :class:`~petl_lab.errors.NonFiniteError` naming its
+    parameter; a non-finite numeric gradient returns ``math.inf`` at that
+    entry.
     """
     clips = np.asarray(clips, dtype=np.float64)
     labels = np.asarray(labels)
     trainable = model.registry.trainable()
-    if not trainable:
-        raise ConfigError("gradient check needs at least one trainable parameter")
     n_params = sum(p.count for p in trainable)
+    if n_params == 0:
+        raise ConfigError("gradient check needs at least one trainable parameter")
     if n_params >= max_params:
         raise ConfigError(
             f"{n_params} trainable parameters: too many for finite differences "
@@ -344,7 +363,7 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
                 for p in trainable}
     model.zero_grads()
 
-    worst = 0.0
+    worst = -1.0  # below any error, so the first entry is always kept
     for p in trainable:
         flat = p.tensor.data.reshape(-1)
         a_flat = analytic[p.path].reshape(-1)
@@ -357,9 +376,9 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
             if not math.isfinite(numeric):  # its NaN error would compare false below
-                return math.inf
+                return GradCheckResult(math.inf, p.path, i, a_flat[i], numeric)
             # both sides finite: the error is finite, or inf on overflow
             err = abs(a_flat[i] - numeric) / max(GRADCHECK_FLOOR, abs(a_flat[i]), abs(numeric))
             if err > worst:
-                worst = err
-    return worst
+                worst, entry = err, (p.path, i, a_flat[i], numeric)
+    return GradCheckResult(worst, *entry)

@@ -188,7 +188,7 @@ class BlockHooks:
         return AttentionExtras(extra_k=extra_k, extra_v=extra_v,
                                add_q=add.get("q"), add_k=add.get("k"), add_v=add.get("v"))
 
-    def ffn_output(self, out: Tensor, z_hat: Tensor, ln2: Tensor, ffn: Tensor) -> Tensor:
+    def ffn_output(self, out: Tensor, ln2: Tensor, ffn: Tensor) -> Tensor:
         w = self.weights
         if "adapter.down.weight" not in w:
             return out

@@ -26,12 +26,11 @@ it is recorded which arrays it reads, from which inputs require a gradient:
 
 * ``matmul`` and ``linear`` keep an operand only if the other one trains,
   and ``mul`` keeps the other operand only for a tracked side;
-* ``add``, ``sub``, ``reshape``, ``transpose``, ``broadcast_to``,
-  ``concat``, ``gather_rows`` and ``tsum`` keep only shapes and indices;
-* ``relu`` keeps a boolean mask, ``softmax`` and ``tanh`` their output,
-  ``log_softmax`` its softmax, ``gelu`` its input and CDF, and
-  ``layer_norm`` the normalized input, plus the inverse deviation and
-  gamma if its input trains.
+* ``add``, ``reshape``, ``transpose``, ``broadcast_to``, ``concat``,
+  ``gather_rows`` and ``tsum`` keep only shapes and indices;
+* ``relu`` keeps a boolean mask, ``tanh`` its output, ``log_softmax`` its
+  softmax, and ``layer_norm`` the normalized input, plus the inverse
+  deviation and gamma if its input trains.
 
 A recorded rule sends gradients only to the inputs that required one when
 it was recorded. An op under :func:`no_grad`, or on inputs none of which
@@ -47,7 +46,9 @@ node keeps only its consumed mark.
 
 Two fused ops keep less than the op-by-op graphs they replace. Each gives
 the same output and gradients bit for bit, and checks for non-finite values
-exactly where the per-op checks would have raised:
+exactly where the per-op checks would have raised. The op-by-op reference
+graphs live in the tests, built on the softmax and GELU kernels these ops
+run, so each formula has one copy:
 
 * :func:`attention` (multi-head scaled dot-product attention) keeps the
   softmax output, and q, k and v as views only where a gradient reads them.
@@ -224,30 +225,6 @@ class Tensor(_Node):
             node._parents = ()
             node._consumed = True
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
@@ -303,7 +280,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
+    try:
+        data = a.data + b.data
+    except ValueError as exc:
+        raise ShapeError(f"add of shapes {a.shape} and {b.shape} does not broadcast") from exc
     ga, gb = _wants(a), _wants(b)
     sa, sb = a.data.shape, b.data.shape
 
@@ -316,24 +296,12 @@ def add(a, b) -> Tensor:
     return _make_op(data, (a, b), backward_fn, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-    ga, gb = _wants(a), _wants(b)
-    sa, sb = a.data.shape, b.data.shape
-
-    def backward_fn(g):
-        if ga is not None:
-            ga._accum_grad(_unbroadcast(g, sa))
-        if gb is not None:
-            gb._accum_grad(_unbroadcast(-g, sb))
-
-    return _make_op(data, (a, b), backward_fn, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
+    try:
+        data = a.data * b.data
+    except ValueError as exc:
+        raise ShapeError(f"mul of shapes {a.shape} and {b.shape} does not broadcast") from exc
     ga, gb = _wants(a), _wants(b)
     sa, sb = a.data.shape, b.data.shape
     a_data = a.data if gb is not None else None
@@ -429,7 +397,10 @@ def linear(x, weight, bias) -> Tensor:
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    data = t.data.reshape(shape)
+    try:
+        data = t.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"reshape of shape {t.shape} to {shape}: {exc}") from exc
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
@@ -461,7 +432,10 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
 
 def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
     """Repeat ``t`` along new or unit axes to ``shape`` (numpy broadcasting)."""
-    data = np.broadcast_to(t.data, tuple(shape))
+    try:
+        data = np.broadcast_to(t.data, tuple(shape))
+    except ValueError as exc:
+        raise ShapeError(f"broadcast_to of shape {t.shape} to {tuple(shape)}: {exc}") from exc
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
@@ -474,7 +448,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of zero tensors")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:  # np.exceptions.AxisError is a ValueError too
+        raise ShapeError(f"concat of shapes {[t.shape for t in tensors]} on axis {axis}: "
+                         f"{exc}") from exc
     offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
     nodes = [_wants(t) for t in tensors]
 
@@ -529,7 +507,10 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
 
 
 def tsum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = t.data.sum(axis=axis, keepdims=keepdims)
+    try:
+        data = t.data.sum(axis=axis, keepdims=keepdims)
+    except ValueError as exc:  # np.exceptions.AxisError
+        raise ShapeError(f"sum on axis {axis} of shape {t.shape}: {exc}") from exc
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
@@ -540,7 +521,10 @@ def tsum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = t.data.size if axis is None else t.data.shape[axis]
+    try:
+        n = t.data.size if axis is None else t.data.shape[axis]
+    except IndexError as exc:
+        raise ShapeError(f"mean on axis {axis} of shape {t.shape}: {exc}") from exc
     return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -562,19 +546,6 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     return gy
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``."""
-    if not -t.data.ndim <= axis < t.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {t.shape}")
-    y = _softmax(t.data, axis)
-    node = t._node
-
-    def backward_fn(g):
-        node._accum_grad(_softmax_backward(g, y, axis))
-
-    return _make_op(y, (t,), backward_fn, "softmax")
-
-
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     x = t.data
     if not -x.ndim <= axis < x.ndim:
@@ -594,7 +565,10 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = t.data.shape[-1]
+    try:
+        d = t.data.shape[-1]
+    except IndexError as exc:
+        raise ShapeError(f"layer_norm needs at least one axis, got shape {t.shape}") from exc
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
@@ -668,23 +642,11 @@ def _gelu_derivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return slope
 
 
-def gelu(t: Tensor) -> Tensor:
-    """Exact Gaussian-CDF form: ``x * Phi(x)`` (no tanh approximation)."""
-    x = t.data
-    data, cdf = _gelu(x)
-    node = t._node
-
-    def backward_fn(g):
-        node._accum_grad(g * _gelu_derivative(x, cdf))
-
-    return _make_op(data, (t,), backward_fn, "gelu")
-
-
 # -- fused blocks -------------------------------------------------------------
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:
-    """Two-layer perceptron ``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op.
+    """Two-layer perceptron: linear, exact GELU ``x * Phi(x)``, linear, as one op.
 
     Output and gradients equal the three-op form bit for bit. When ``x``,
     ``w1`` or ``b1`` requires a gradient, the graph keeps the GELU

@@ -48,7 +48,7 @@ class FixedRows:
     def attention_extras(self, ln_tokens):
         return AttentionExtras(extra_k=self.extra_k, extra_v=self.extra_v)
 
-    def ffn_output(self, out, z_hat, ln2, ffn):
+    def ffn_output(self, out, ln2, ffn):
         return out
 
 

@@ -231,6 +231,17 @@ def test_batched_window_attention_equals_single_windows(rng):
         np.testing.assert_array_equal(out.data[i], single.data)
 
 
+def test_window_attention_rejects_unpaired_extra_rows(rng):
+    d, heads, n = 8, 2, 4
+    w = random_attention_weights(rng, d, heads, 27)
+    x = Tensor(rng.normal(size=(n, d)))
+    rows = Tensor(rng.normal(size=(2, d)))
+    for extras in ({"extra_v": rows}, {"extra_k": rows},
+                   {"extra_k": rows, "extra_v": Tensor(rng.normal(size=(3, d)))}):
+        with pytest.raises(ShapeError, match="matching pairs"):
+            window_attention(x, w, **extras)
+
+
 def test_attention_permutation_equivariance(rng):
     d, heads, n = 8, 2, 6
     w = random_attention_weights(rng, d, heads, 27)

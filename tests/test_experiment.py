@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -545,6 +546,21 @@ def test_cli_gradcheck_fails_on_nonfinite_gradients(fault, tmp_path, monkeypatch
         expected = "gradcheck FAILED: inf"
     assert cli_main(["gradcheck", "--config", str(path), "--quiet"]) == 1
     assert expected in capsys.readouterr().err
+
+
+def test_cli_gradcheck_prints_its_worst_entry(tmp_path, monkeypatch, capsys):
+    raw = make_config(model={"dims": [2, 2, 4, 4], "heads": [1, 1, 2, 2]},
+                      petl={"mechanisms": ["patt"], "d_bottle": 2})
+    path = write_config(tmp_path, raw)
+    assert cli_main(["gradcheck", "--config", str(path)]) == 0
+    passed = capsys.readouterr().out
+    assert re.search(r"gradcheck max relative error: \S+ \(worst entry \S+\[\d+\]: analytic ",
+                     passed), passed
+    monkeypatch.setattr(harness, "_batch_loss_value", lambda *args: math.inf)
+    assert cli_main(["gradcheck", "--config", str(path), "--quiet"]) == 1
+    failed = capsys.readouterr().err
+    assert re.search(r"gradcheck FAILED: inf >= 0.0001 \(worst entry \S+\[0\]: analytic ",
+                     failed), failed
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -405,6 +405,28 @@ def test_grad_check_returns_inf_on_a_nonfinite_numeric_gradient(monkeypatch):
     assert grad_check(model, clips, np.array([0, 2])) == math.inf
 
 
+def test_grad_check_reports_its_worst_entry(monkeypatch):
+    model = LinearProbe(6, 3, seed=16)
+    clips = np.random.default_rng(16).normal(size=(2, 6))
+    backward = T.Tensor.backward
+
+    def corrupted_backward(loss):
+        backward(loss)
+        model.w.grad.reshape(-1)[7] += 0.5  # one entry of one parameter
+
+    monkeypatch.setattr(T.Tensor, "backward", corrupted_backward)
+    err = grad_check(model, clips, np.array([0, 2]))
+    assert (err.path, err.index) == ("probe.weight", 7)
+    assert err > 1e-2 and err.analytic - err.numeric == pytest.approx(0.5)
+    assert err.entry().startswith("worst entry probe.weight[7]: analytic ")
+
+    # a non-finite numeric gradient is reported at its entry, the first one here
+    monkeypatch.setattr(harness, "_batch_loss_value", lambda *args: math.inf)
+    err = grad_check(model, clips, np.array([0, 2]))
+    assert err == math.inf and (err.path, err.index) == ("probe.weight", 0)
+    assert math.isnan(err.numeric)
+
+
 def test_grad_check_param_limit():
     model = LinearProbe(60_000, 3, seed=14)
     with pytest.raises(ConfigError):

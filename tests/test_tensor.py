@@ -1,6 +1,9 @@
+import ast
+import inspect
 import itertools
 import math
 import weakref
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -85,18 +88,44 @@ def test_matmul_batched_broadcast(rng):
     np.testing.assert_allclose(out.data, a @ b, atol=1e-14)
 
 
+# -- softmax and GELU as graph ops ---------------------------------------------
+
+
+def softmax(t, axis=-1):
+    """The softmax kernel :func:`T.attention` runs, as a graph op of its own."""
+    y = T._softmax(t.data, axis)
+    node = t._node
+
+    def backward_fn(g):
+        node._accum_grad(T._softmax_backward(g, y, axis))
+
+    return T._make_op(y, (t,), backward_fn, "softmax")
+
+
+def gelu(t):
+    """The GELU kernel :func:`T.mlp` runs, as a graph op of its own."""
+    x = t.data
+    data, cdf = T._gelu(x)
+    node = t._node
+
+    def backward_fn(g):
+        node._accum_grad(g * T._gelu_derivative(x, cdf))
+
+    return T._make_op(data, (t,), backward_fn, "gelu")
+
+
 # -- softmax ------------------------------------------------------------------
 
 
 def test_softmax_symmetry():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+    out = T._softmax(np.zeros(3), -1)
+    np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = T.softmax(Tensor([1000.0, 0.0]))
-    assert abs(out.data[0] - 1.0) < 1e-12
-    assert abs(out.data[1]) < 1e-12
+    out = T._softmax(np.array([1000.0, 0.0]), -1)
+    assert abs(out[0] - 1.0) < 1e-12
+    assert abs(out[1]) < 1e-12
 
 
 def test_softmax_matches_high_precision_oracle():
@@ -106,8 +135,8 @@ def test_softmax_matches_high_precision_oracle():
         exps = [mp.exp(mp.mpf(repr(v))) for v in vals]
         total = mp.fsum(exps)
         expected = [float(e / total) for e in exps]
-    out = T.softmax(Tensor(vals))
-    np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=0)
+    out = T._softmax(np.array(vals), -1)
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -115,14 +144,9 @@ def test_softmax_rows_sum_to_one(rng):
         shape = tuple(rng.integers(1, 6, size=int(rng.integers(1, 4))))
         axis = int(rng.integers(0, len(shape)))
         x = rng.normal(scale=5.0, size=shape)
-        out = T.softmax(Tensor(x), axis=axis)
-        np.testing.assert_allclose(out.data.sum(axis=axis), 1.0, atol=1e-12)
-        assert (out.data >= 0).all()
-
-
-def test_softmax_invalid_axis():
-    with pytest.raises(ShapeError):
-        T.softmax(Tensor([1.0, 2.0]), axis=3)
+        out = T._softmax(x, axis)
+        np.testing.assert_allclose(out.sum(axis=axis), 1.0, atol=1e-12)
+        assert (out >= 0).all()
 
 
 # -- layer norm ---------------------------------------------------------------
@@ -173,8 +197,8 @@ def test_gelu_matches_high_precision_oracle():
     vals = [-2.3, -0.7, -0.05, 0.0, 0.4, 1.9, 3.3]
     with mp.workdps(50):
         expected = [float(mp.mpf(repr(v)) * mp.ncdf(mp.mpf(repr(v)))) for v in vals]
-    out = T.gelu(Tensor(vals))
-    np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=1e-16)
+    out, _ = T._gelu(np.array(vals))
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-16)
 
 
 # -- backward ----------------------------------------------------------------
@@ -203,15 +227,15 @@ def test_backward_composed_model_vs_finite_differences(rng):
 
     def f():
         h = T.layer_norm(T.add(T.matmul(x, w1), b1), g, be, eps=1e-5)
-        h = T.gelu(h)
-        out = T.softmax(T.matmul(h, w2), axis=-1)
+        h = gelu(h)
+        out = softmax(T.matmul(h, w2), axis=-1)
         return T.tsum(T.mul(out, out))
 
     check_op_grads(f, [w1, b1, w2, g, be])
 
 
 @pytest.mark.parametrize("case", [
-    "add", "add_broadcast", "sub", "mul", "mul_broadcast", "matmul",
+    "add", "add_broadcast", "mul", "mul_broadcast", "matmul",
     "matmul_batched", "reshape", "transpose", "concat", "gather", "sum_axis",
     "mean", "softmax", "log_softmax", "layer_norm", "relu", "gelu", "tanh",
     "broadcast_to", "gather_axis", "transpose_negative", "linear", "attention", "mlp",
@@ -246,7 +270,6 @@ def test_per_op_gradients(case, rng):
     cases = {
         "add": (lambda: T.tsum(T.mul(T.add(a, b), T.add(a, b))), [a, b]),
         "add_broadcast": (lambda: T.tsum(T.mul(T.add(a, row), T.add(a, row))), [a, row]),
-        "sub": (lambda: T.tsum(T.mul(T.sub(a, b), T.sub(a, b))), [a, b]),
         "mul": (lambda: T.tsum(T.mul(T.mul(a, b), b)), [a, b]),
         "mul_broadcast": (lambda: T.tsum(T.mul(T.mul(a, row), a)), [a, row]),
         "matmul": (lambda: T.tsum(T.mul(T.matmul(a, m), T.matmul(a, m))), [a, m]),
@@ -260,12 +283,12 @@ def test_per_op_gradients(case, rng):
         "gather": (lambda: T.tsum(T.mul(T.gather_rows(a, idx), T.gather_rows(a, idx))), [a]),
         "sum_axis": (lambda: T.tsum(T.mul(T.tsum(a, axis=1), T.tsum(a, axis=1))), [a]),
         "mean": (lambda: T.tsum(T.mul(T.tmean(a, axis=0), T.tmean(a, axis=0))), [a]),
-        "softmax": (lambda: T.tsum(T.mul(T.softmax(a, axis=-1), weight)), [a]),
+        "softmax": (lambda: T.tsum(T.mul(softmax(a, axis=-1), weight)), [a]),
         "log_softmax": (lambda: T.tsum(T.mul(T.log_softmax(a, axis=-1), weight)), [a]),
         "layer_norm": (lambda: T.tsum(T.mul(T.layer_norm(a, gamma, beta, 1e-5),
                                             weight)), [a, gamma, beta]),
         "relu": (lambda: T.tsum(T.mul(T.relu(T.mul(pos, Tensor(sign))), weight)), [pos]),
-        "gelu": (lambda: T.tsum(T.mul(T.gelu(a), weight)), [a]),
+        "gelu": (lambda: T.tsum(T.mul(gelu(a), weight)), [a]),
         "tanh": (lambda: T.tsum(T.mul(T.tanh(a), weight)), [a]),
         "broadcast_to": (lambda: T.tsum(T.mul(T.broadcast_to(row, (2, 4, 6)),
                                               T.broadcast_to(a, (2, 4, 6)))), [row, a]),
@@ -322,7 +345,7 @@ def broadcast_source(draw, target):
 
 
 @settings(max_examples=60, deadline=None)
-@given(op=st.sampled_from(("add", "sub", "mul")),
+@given(op=st.sampled_from(("add", "mul")),
        shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
                                                 min_side=1, max_side=3),
        seed=SEEDS)
@@ -365,7 +388,7 @@ def test_axis_op_gradients_on_negative_axes_property(data, op, shape, seed):
     x = leaf(rng, shape)
     leaves = [x]
     if op == "softmax":
-        build = lambda: T.softmax(x, axis=axis)
+        build = lambda: softmax(x, axis=axis)
     elif op == "concat":
         other = list(shape)
         other[axis] = data.draw(st.integers(1, 3), label="other extent")
@@ -559,13 +582,13 @@ def attention_op_by_op(q, k, v, bias, heads):
     logits = T.mul(T.matmul(qh, kh), 1.0 / math.sqrt(hd))
     if bias is not None:
         logits = T.add(logits, bias)
-    out = T.matmul(T.softmax(logits, axis=-1), vh)
+    out = T.matmul(softmax(logits, axis=-1), vh)
     return T.reshape(T.transpose(out, heads_first), (*lead, n, d))
 
 
 def mlp_op_by_op(x, w1, b1, w2, b2):
     """The op-by-op graph :func:`T.mlp` replaces."""
-    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+    return T.linear(gelu(T.linear(x, w1, b1)), w2, b2)
 
 
 def assert_fused_equals_op_by_op_bitwise(fused, reference, arrays):
@@ -652,7 +675,6 @@ KEEPS_NOTHING = kept_when_tracked(())
 # keeps given which inputs are tracked, whether it keeps the output array)
 OP_CASES = {
     "add": (T.add, [(3, 4), (1, 4)], KEEPS_NOTHING, False),
-    "sub": (T.sub, [(3, 4), (4,)], KEEPS_NOTHING, False),
     "mul": (T.mul, [(3, 4), (1, 4)], kept_when_tracked([(0, 1), (1, 0)]), False),
     "matmul": (T.matmul, [(2, 3, 4), (4, 5)], kept_when_tracked([(0, 1), (1, 0)]), False),
     "linear": (T.linear, [(3, 4), (4, 5), (5,)], kept_when_tracked([(0, 1), (1, 0)]),
@@ -664,12 +686,10 @@ OP_CASES = {
     "gather_rows": (lambda x: T.gather_rows(x, [0, 2, 2]), [(4, 3)], KEEPS_NOTHING, False),
     "tsum": (lambda x: T.tsum(x, axis=1), [(3, 4)], KEEPS_NOTHING, False),
     "tmean": (lambda x: T.tmean(x, axis=0), [(3, 4)], KEEPS_NOTHING, False),
-    "softmax": (T.softmax, [(3, 4)], KEEPS_NOTHING, True),
     "log_softmax": (T.log_softmax, [(3, 4)], KEEPS_NOTHING, False),
     "layer_norm": (T.layer_norm, [(3, 4), (4,), (4,)], kept_when_tracked([(1, 0)]), False),
     "relu": (T.relu, [(3, 4)], KEEPS_NOTHING, False),  # a boolean mask instead
     "tanh": (T.tanh, [(3, 4)], KEEPS_NOTHING, True),
-    "gelu": (T.gelu, [(3, 4)], kept_when_tracked([(0, 0)]), False),
     "mlp": (T.mlp, [(3, 4), (4, 6), (6,), (6, 2), (2,)],
             kept_when_tracked([(0, 1), (1, 0), (3, 0), (3, 1), (3, 2)]), False),
     "attention": (lambda q, k, v, bias: T.attention(q, k, v, bias, 2),
@@ -833,11 +853,40 @@ def test_kernels_bitwise_deterministic(rng):
     one = T.matmul(Tensor(a), Tensor(b)).data
     two = T.matmul(Tensor(a), Tensor(b)).data
     assert one.tobytes() == two.tobytes()
-    assert (T.softmax(Tensor(a), -1).data.tobytes()
-            == T.softmax(Tensor(a), -1).data.tobytes())
+    assert T._softmax(a, -1).tobytes() == T._softmax(a, -1).tobytes()
+    assert T._gelu(a)[0].tobytes() == T._gelu(a)[0].tobytes()
     ln1 = T.layer_norm(Tensor(a), Tensor(g), Tensor(g), 1e-5).data
     ln2 = T.layer_norm(Tensor(a), Tensor(g), Tensor(g), 1e-5).data
     assert ln1.tobytes() == ln2.tobytes()
+
+
+def zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+# name -> (the failing call, text its message must hold)
+SHAPE_ERROR_CASES = {
+    "reshape": (lambda: T.reshape(zeros(2, 3), (5,)), ["reshape", "(2, 3)", "(5,)"]),
+    "broadcast_to": (lambda: T.broadcast_to(zeros(2, 3), (4, 3)),
+                     ["broadcast_to", "(2, 3)", "(4, 3)"]),
+    "concat-extent": (lambda: T.concat([zeros(2, 3), zeros(2, 4)], axis=0),
+                      ["concat", "(2, 3)", "(2, 4)"]),
+    "concat-axis": (lambda: T.concat([zeros(2, 3), zeros(2, 3)], axis=5), ["concat", "axis 5"]),
+    "add": (lambda: T.add(zeros(2, 3), zeros(4)), ["add", "(2, 3)", "(4,)"]),
+    "mul": (lambda: T.mul(zeros(2, 3), zeros(4)), ["mul", "(2, 3)", "(4,)"]),
+    "tsum-axis": (lambda: T.tsum(zeros(2, 3), axis=3), ["sum", "axis 3", "(2, 3)"]),
+    "tmean-axis": (lambda: T.tmean(zeros(2, 3), axis=3), ["mean", "axis 3", "(2, 3)"]),
+    "layer_norm-0d": (lambda: T.layer_norm(zeros(), zeros(1), zeros(1)), ["layer_norm", "()"]),
+    "log_softmax-axis": (lambda: T.log_softmax(zeros(2), axis=3), ["log_softmax", "axis 3"]),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_ERROR_CASES)
+def test_bad_shapes_raise_shape_error(name):
+    call, words = SHAPE_ERROR_CASES[name]
+    with pytest.raises(ShapeError) as exc:
+        call()
+    assert all(w in str(exc.value) for w in words), str(exc.value)
 
 
 def test_nonfinite_construction_rejected():
@@ -899,3 +948,34 @@ def test_no_grad_disables_recording(rng):
     z = T.tsum(T.mul(x, 3.0))
     z.backward()
     np.testing.assert_allclose(x.grad, 3.0)
+
+
+# -- the engine's surface --------------------------------------------------------
+
+
+def test_every_public_op_has_a_caller_in_the_program():
+    """Each public function of the engine is used by another module of the
+    package (``grad_enabled`` is the tracking flag's reader), and ``Tensor``
+    has no operator sugar: reference compositions live in the tests."""
+    package = Path(T.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                   for a in node.names if a.name == "tensor"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
+                used.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                used.add(node.attr)
+    public = {name for name, obj in vars(T).items()
+              if inspect.isfunction(obj) and obj.__module__ == T.__name__
+              and not name.startswith("_")}
+    assert public - {"grad_enabled"} - used == set()
+    sugar = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+             "__matmul__", "__rmatmul__", "__truediv__", "__rtruediv__", "__pow__")
+    assert [name for name in sugar if hasattr(Tensor, name)] == []
