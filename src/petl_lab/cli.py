@@ -4,7 +4,7 @@ Verbs:
 
 * ``run``       -- execute the config's ablation cross-product, write reports
 * ``count``     -- parameter-count reports only (no training, no allocation)
-* ``gradcheck`` -- finite-difference verification of the config's model
+* ``gradcheck`` -- finite-difference verification of the config's first run
 * ``plot``      -- project a report into (params, accuracy) scatter data
 
 Exit status is 0 on success, 2 on configuration/validation errors, and 1 on

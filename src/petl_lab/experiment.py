@@ -4,14 +4,33 @@ Config files are YAML with nested sections and a ``schema_version`` field;
 unknown keys are hard errors so typos cannot silently change a run, and
 every value is type-checked, never coerced: an int must be an int (a bool or
 2.7 is not one), a float an int or float, a bool a bool, and a section a
-mapping. Any other value is a ``ConfigError``.
+mapping. Any other value is a ``ConfigError``. Only this module knows the
+format: a section's keys are its dataclass's field names, but for the renames
+in ``_MODEL_FIELDS`` and ``_PETL_FIELDS``.
 
-The runner executes the ablation cross-product (bottleneck width x branch
-scale x insertion sites x frame count) in the calling thread, one run after
-another in config order, with per-run seeds ``base_seed + index``. The
-training and held-out datasets depend only on the seed and the frame count,
-so they are generated once per distinct ``frames`` value and shared by the
-runs, which only read them.
+A run is one entry of the ablation cross-product (bottleneck width x branch
+scale x insertion sites x frame count). Its quantities come from:
+
+* ``dataset``: the clip shape and class count. ``cfg.model.input_size`` is
+  its (frames, height, width); a ``model.input`` or ``model.num_classes``
+  the config writes must equal them.
+* ``model`` over its preset: the backbone; ``petl``: the inserts.
+* ``ablation``: the axes override ``petl.d_bottle``, ``petl.sites``,
+  ``dataset.frames`` and the scale ``s`` of both branches. A missing axis
+  takes its one value from those, ``s`` from ``petl.s_patt``, so without an
+  ``s`` axis ``petl.s_adapter`` must equal ``petl.s_patt``.
+
+:func:`run_setup` derives a run's model config and insert spec, and parsing
+checks every run with it. :func:`build_run` builds, attaches and freezes a
+run's model with seeds ``seed + index`` (backbone) and ``seed + index + 1``
+(inserts). ``run`` trains every run's model, ``count`` counts every run's
+plan without allocating it, and ``gradcheck`` finite-differences the first
+run's model on two clips of its shape.
+
+The runner executes the runs in the calling thread, one after another in
+config order. The training and held-out datasets depend only on the seed and
+the frame count, so they are generated once per distinct ``frames`` value and
+shared by the runs, which only read them.
 
 The top-level ``parallel`` key is accepted, so configs that set it still
 load, and has no effect. Runs are short Python ops under the GIL, so a
@@ -42,7 +61,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .backbone import SWIN_B, SWIN_MICRO, ModelConfig, build_model
+from .backbone import SWIN_B, SWIN_MICRO, ModelConfig, VideoSwinModel, build_model
 from .errors import ConfigError, GeometryError
 from .harness import (GradCheckResult, OptimizerConfig, SyntheticVideoDataset, grad_check,
                       make_dataset, train)
@@ -131,10 +150,12 @@ _OPT_SCHEMA = {"kind": str, "lr": float, "momentum": float, "beta1": float,
                "eval_every": int}
 _ABLATION_SCHEMA = {"d_bottle": [int], "s": [float], "sites": [str], "frames": [int]}
 
+# Config keys that name their dataclass field differently; every other key is
+# its field's name.
 _MODEL_FIELDS = {"input": "input_size", "patch": "patch_size", "dims": "embed_dims",
                  "blocks": "blocks_per_stage", "heads": "heads_per_stage",
-                 "window": "window_size", "ffn_ratio": "ffn_ratio",
-                 "num_classes": "num_classes"}
+                 "window": "window_size"}
+_PETL_FIELDS = {"sites": "patt_sites"}
 
 
 def _matches(value, kind) -> bool:
@@ -180,14 +201,18 @@ def _mapping(section, schema: dict, where: str) -> dict:
     return out
 
 
-def _model_from_dict(d: dict) -> ModelConfig:
-    base = MODEL_PRESETS.get(d.get("preset", "swin-micro"))
-    if base is None:
-        raise ConfigError(
-            f"unknown model preset '{d['preset']}'; expected {sorted(MODEL_PRESETS)}")
-    over = {_MODEL_FIELDS[k]: tuple(v) if isinstance(v, list) else v
-            for k, v in d.items() if k != "preset"}
-    return _validated(dataclasses.replace(base, **over))
+def _fields(section: dict, renames: dict | None = None) -> dict:
+    """Dataclass field values of a checked section: keys renamed, lists as tuples."""
+    renames = renames or {}
+    return {renames.get(key, key): tuple(v) if isinstance(v, list) else v
+            for key, v in section.items()}
+
+
+def _section(obj, keys, renames: dict | None = None) -> dict:
+    """The config section of dataclass ``obj`` with ``keys``: tuples as lists."""
+    renames = renames or {}
+    values = {key: getattr(obj, renames.get(key, key)) for key in keys}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
 def _validated(model: ModelConfig) -> ModelConfig:
@@ -199,11 +224,6 @@ def _validated(model: ModelConfig) -> ModelConfig:
     return model
 
 
-def _model_to_dict(cfg: ModelConfig) -> dict:
-    values = {key: getattr(cfg, field) for key, field in _MODEL_FIELDS.items()}
-    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
-
-
 def _sites_tuple(name: str) -> tuple[str, ...]:
     sites = _SITE_NAMES.get(name.upper())
     if sites is None:
@@ -212,73 +232,80 @@ def _sites_tuple(name: str) -> tuple[str, ...]:
     return sites
 
 
+def _model(fields: dict, dataset: DatasetSpec) -> ModelConfig:
+    """The preset with the model section's fields, on the dataset's clip shape."""
+    preset = fields.pop("preset", "swin-micro")
+    _require(preset in MODEL_PRESETS,
+             f"unknown model preset '{preset}'; expected {sorted(MODEL_PRESETS)}")
+    shape = (dataset.frames, dataset.height, dataset.width)
+    _require(fields.setdefault("input_size", shape) == shape,
+             f"model.input={list(fields['input_size'])} disagrees with the dataset's "
+             f"[frames, height, width]={list(shape)}")
+    return _validated(dataclasses.replace(MODEL_PRESETS[preset], **fields))
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     top = _mapping(raw, _TOP_SCHEMA, "top level")
     _require("schema_version" in top, "config is missing 'schema_version'")
     _require(top["schema_version"] == SCHEMA_VERSION,
              f"unsupported schema_version {top['schema_version']} (expected {SCHEMA_VERSION})")
 
-    def section(name: str, schema: dict) -> dict:
-        return _mapping(top.get(name, {}), schema, name)
-
-    model = _model_from_dict(section("model", _MODEL_SCHEMA))
-
-    petl_raw = section("petl", _PETL_SCHEMA)
-    if "sites" in petl_raw:
-        petl_raw["sites"] = _sites_tuple(petl_raw["sites"])
-    petl = PETLSpec.from_dict(petl_raw)
-    petl.validate(model)
+    def section(name: str, schema: dict, renames: dict | None = None) -> dict:
+        return _fields(_mapping(top.get(name, {}), schema, name), renames)
 
     dataset = DatasetSpec(**section("dataset", _DATASET_SCHEMA))
     dataset.validate()
+    model = _model(section("model", _MODEL_SCHEMA, _MODEL_FIELDS), dataset)
     _require(model.num_classes == dataset.n_classes,
              f"model.num_classes={model.num_classes} disagrees with "
              f"dataset.n_classes={dataset.n_classes}")
 
+    petl_fields = section("petl", _PETL_SCHEMA, _PETL_FIELDS)
+    if "patt_sites" in petl_fields:
+        petl_fields["patt_sites"] = _sites_tuple(petl_fields["patt_sites"])
+    petl = PETLSpec(**petl_fields)
+    petl.validate(model)
+
     optimizer = OptimizerConfig(**section("optimizer", _OPT_SCHEMA))
     optimizer.validate()
 
-    abl_raw = section("ablation", _ABLATION_SCHEMA)
-    for axis, values in abl_raw.items():
+    axes = section("ablation", _ABLATION_SCHEMA)
+    for axis, values in axes.items():
         _require(len(values) > 0, f"ablation axis '{axis}' must be a non-empty list")
-    ablation = AblationAxes(
-        d_bottle=tuple(abl_raw.get("d_bottle", [petl.d_bottle])),
-        s=tuple(abl_raw.get("s", [petl.s_patt])),
-        sites=tuple(x.upper() for x in abl_raw.get("sites", ["".join(petl.patt_sites)])),
-        frames=tuple(abl_raw.get("frames", [dataset.frames])),
-    )
+    _require("s" in axes or petl.s_adapter == petl.s_patt,
+             f"petl.s_adapter={petl.s_adapter} differs from petl.s_patt={petl.s_patt}, "
+             f"but every run scales both branches by one s; set them equal or add an "
+             f"ablation 's' axis")
+    axes = {"d_bottle": (petl.d_bottle,), "s": (petl.s_patt,),
+            "sites": ("".join(petl.patt_sites),), "frames": (dataset.frames,), **axes}
+    axes["sites"] = tuple(x.upper() for x in axes["sites"])
     cfg = ExperimentConfig(
         seed=top.get("seed", 0),
         model=model,
         petl=petl,
         dataset=dataset,
         optimizer=optimizer,
-        ablation=ablation,
+        ablation=AblationAxes(**axes),
         output_dir=top.get("output_dir"),
     )
-    # Every combo is checked here, so no run trains before a later one is found invalid.
-    for frames in dict.fromkeys(ablation.frames):
-        _combo_model_cfg(cfg, frames)
-    for db, s, sites, _ in ablation.combos():
-        _combo_spec(cfg, db, s, sites).validate(model)
+    # Every run is checked here, so no run trains before a later one is found invalid.
+    for combo in cfg.ablation.combos():
+        run_setup(cfg, *combo)
     return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
+    petl = _section(cfg.petl, _PETL_SCHEMA, _PETL_FIELDS)
+    petl["sites"] = "".join(cfg.petl.patt_sites)
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
         "output_dir": cfg.output_dir,
-        "model": _model_to_dict(cfg.model),
-        "petl": cfg.petl.to_dict(),
-        "dataset": dataclasses.asdict(cfg.dataset),
-        "optimizer": dataclasses.asdict(cfg.optimizer),
-        "ablation": {
-            "d_bottle": list(cfg.ablation.d_bottle),
-            "s": list(cfg.ablation.s),
-            "sites": list(cfg.ablation.sites),
-            "frames": list(cfg.ablation.frames),
-        },
+        "model": _section(cfg.model, _MODEL_SCHEMA.keys() - {"preset"}, _MODEL_FIELDS),
+        "petl": petl,
+        "dataset": _section(cfg.dataset, _DATASET_SCHEMA),
+        "optimizer": _section(cfg.optimizer, _OPT_SCHEMA),
+        "ablation": _section(cfg.ablation, _ABLATION_SCHEMA),
     }
 
 
@@ -387,17 +414,26 @@ def _run_label(spec: PETLSpec) -> str:
     return "+".join(spec.mechanisms) if spec.mechanisms else "none"
 
 
-def _combo_spec(cfg: ExperimentConfig, d_bottle: int, s: float, sites: str) -> PETLSpec:
-    spec = dataclasses.replace(
-        cfg.petl, d_bottle=d_bottle, s_adapter=s, s_patt=s,
-        patt_sites=_sites_tuple(sites))
-    return spec
-
-
-def _combo_model_cfg(cfg: ExperimentConfig, frames: int) -> ModelConfig:
+def run_setup(cfg: ExperimentConfig, d_bottle: int, s: float, sites: str,
+              frames: int) -> tuple[ModelConfig, PETLSpec]:
+    """The validated model config and insert spec of the run with these axis values."""
     ds = cfg.dataset
-    return _validated(dataclasses.replace(
-        cfg.model, input_size=(frames, ds.height, ds.width), num_classes=ds.n_classes))
+    model = _validated(dataclasses.replace(cfg.model, input_size=(frames, ds.height, ds.width)))
+    spec = dataclasses.replace(cfg.petl, d_bottle=d_bottle, s_adapter=s, s_patt=s,
+                               patt_sites=_sites_tuple(sites))
+    spec.validate(model)
+    return model, spec
+
+
+def build_run(cfg: ExperimentConfig, index: int, d_bottle: int, s: float, sites: str,
+              frames: int) -> VideoSwinModel:
+    """Run ``index``'s model, frozen, with its inserts (spec ``model.petl_spec``)."""
+    model_cfg, spec = run_setup(cfg, d_bottle, s, sites, frames)
+    seed = cfg.seed + index
+    model = build_model(model_cfg, seed=seed)
+    attach_petl(model, spec, seed=seed + 1)
+    freeze_backbone(model, spec)
+    return model
 
 
 def _make_splits(cfg: ExperimentConfig, frames: int):
@@ -413,22 +449,17 @@ def _make_splits(cfg: ExperimentConfig, frames: int):
 def execute_run(cfg: ExperimentConfig, index: int, d_bottle: int, s: float,
                 sites: str, frames: int, out_dir: Path,
                 train_ds: SyntheticVideoDataset, eval_ds: SyntheticVideoDataset) -> RunRow:
-    """Train one combo on the given datasets (read only) and write its history."""
+    """Train run ``index`` on the given datasets (read only) and write its history."""
     run_id = f"run{index:03d}"
     run_seed = cfg.seed + index
-    model_cfg = _combo_model_cfg(cfg, frames)
-    spec = _combo_spec(cfg, d_bottle, s, sites)
-    model = build_model(model_cfg, seed=run_seed)
-    attach_petl(model, spec, seed=run_seed + 1)
-    freeze_backbone(model, spec)
-
+    model = build_run(cfg, index, d_bottle, s, sites, frames)
     history = train(model, train_ds, cfg.optimizer, seed=run_seed, eval_dataset=eval_ds)
     history.write_csv(out_dir / f"history_{run_id}.csv")
 
     trainable = count_params(model.registry, "trainable")
     return RunRow(
         run_id=run_id,
-        mechanism=_run_label(spec),
+        mechanism=_run_label(model.petl_spec),
         d_bottle=d_bottle,
         s=s,
         sites=sites,
@@ -482,8 +513,8 @@ def emit_counts(cfg: ExperimentConfig, out_dir: str | None = None,
     head = head_count(cfg.model.embed_dims[-1], cfg.model.num_classes)
     petl_rows = []
     for i, (db, s, sites, frames) in enumerate(cfg.ablation.combos()):
-        spec = _combo_spec(cfg, db, s, sites)
-        trainable = plan_total(petl_parameter_plan(cfg.model, spec))
+        model_cfg, spec = run_setup(cfg, db, s, sites, frames)
+        trainable = plan_total(petl_parameter_plan(model_cfg, spec))
         if spec.tune_head:
             trainable += head
         petl_rows.append({
@@ -536,16 +567,12 @@ def plot_tradeoff(report: TradeoffReport, path) -> None:
                 writer.writerow([mech, f"{row.trainable_millions:.2f}", repr(top1)])
 
 
-def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False,
-                  eps: float = 1e-5) -> GradCheckResult:
-    """Build the config's model, freeze the backbone, and finite-difference it."""
-    ds = make_dataset(cfg.dataset.n_classes, 1,
-                      (cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width),
-                      seed=cfg.seed, noise=cfg.dataset.noise)
-    model = build_model(cfg.model, seed=cfg.seed)
-    attach_petl(model, cfg.petl, seed=cfg.seed + 1)
-    freeze_backbone(model, cfg.petl)
-    err = grad_check(model, ds.clips[:2], ds.labels[:2], eps=eps)
+def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False) -> GradCheckResult:
+    """Finite-difference the first run's model on two clips of its shape."""
+    model = build_run(cfg, 0, *next(cfg.ablation.combos()))
+    ds = cfg.dataset
+    data = make_dataset(ds.n_classes, 1, model.cfg.input_size, seed=cfg.seed, noise=ds.noise)
+    err = grad_check(model, data.clips[:2], data.labels[:2])
     if not quiet:
         print(f"gradcheck max relative error: {err:.3e} ({err.entry()})")
     return err

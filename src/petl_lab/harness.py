@@ -33,6 +33,9 @@ DRIFT_DIRECTIONS = (
 # error at 1e-8 (the fault-injection test shows real bugs still trip it).
 GRADCHECK_FLOOR = 1e-4
 
+# grad_check refuses this many trainable entries: each costs two loss evaluations.
+GRADCHECK_MAX_PARAMS = 50_000
+
 
 class SyntheticVideoDataset:
     """Deterministic labeled clips; class = moving-pattern family."""
@@ -331,8 +334,7 @@ class GradCheckResult(float):
                 f"numeric {self.numeric:.6e}")
 
 
-def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
-               max_params: int = 50_000) -> GradCheckResult:
+def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5) -> GradCheckResult:
     """Central-difference verification of every trainable parameter.
 
     Returns the worst relative error
@@ -349,10 +351,10 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5,
     n_params = sum(p.count for p in trainable)
     if n_params == 0:
         raise ConfigError("gradient check needs at least one trainable parameter")
-    if n_params >= max_params:
+    if n_params >= GRADCHECK_MAX_PARAMS:
         raise ConfigError(
             f"{n_params} trainable parameters: too many for finite differences "
-            f"(limit {max_params})")
+            f"(limit {GRADCHECK_MAX_PARAMS})")
     _check_batch(model, clips, labels)
 
     model.zero_grads()

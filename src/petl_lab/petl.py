@@ -113,34 +113,6 @@ class PETLSpec:
                 if site not in PATT_SITES:
                     raise ConfigError(f"unknown PATT site '{site}'; expected Q/K/V")
 
-    def to_dict(self) -> dict:
-        return {
-            "mechanisms": list(self.mechanisms),
-            "d_bottle": self.d_bottle,
-            "d_middle": self.d_middle,
-            "d_token": self.d_token,
-            "d_prompt": self.d_prompt,
-            "s_adapter": self.s_adapter,
-            "s_patt": self.s_patt,
-            "sites": "".join(self.patt_sites),
-            "tune_head": self.tune_head,
-            "attach_stages": (None if self.attach_stages is None
-                              else list(self.attach_stages)),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PETLSpec":
-        """Spec from a type-checked config section; absent keys keep their defaults.
-
-        ``sites`` (a string such as ``"KV"`` or a sequence of sites) becomes
-        ``patt_sites``; lists become tuples.
-        """
-        kw = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in d.items() if k != "sites"}
-        if "sites" in d:
-            kw["patt_sites"] = tuple(d["sites"])
-        return PETLSpec(**kw)
-
 
 class BlockHooks:
     """One block's inserts on the backbone's hook call surface.

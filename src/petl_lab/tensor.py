@@ -473,10 +473,11 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
     :class:`~petl_lab.errors.ShapeError`. Backward scatters by assignment,
     or accumulates with ``np.add.at`` where ``index`` repeats an entry.
     """
-    if not -t.data.ndim <= axis < t.data.ndim:
-        raise ShapeError(f"gather_rows axis {axis} invalid for shape {t.shape}")
+    try:
+        n = t.data.shape[axis]
+    except (IndexError, TypeError) as exc:
+        raise ShapeError(f"gather_rows axis {axis!r} invalid for shape {t.shape}") from exc
     axis = axis % t.data.ndim
-    n = t.data.shape[axis]
     idx = np.asarray(index)
     if idx.size:
         if idx.dtype.kind not in "iu":
@@ -506,7 +507,7 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
 # -- reductions ------------------------------------------------------------
 
 
-def tsum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(t: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
     try:
         data = t.data.sum(axis=axis, keepdims=keepdims)
     except ValueError as exc:  # np.exceptions.AxisError
@@ -520,10 +521,12 @@ def tsum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _make_op(np.asarray(data), (t,), backward_fn, "sum")
 
 
-def tmean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(t: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis``: an int, a tuple of ints, or None for every axis, as :func:`tsum`."""
+    axes = range(t.data.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
     try:
-        n = t.data.size if axis is None else t.data.shape[axis]
-    except IndexError as exc:
+        n = math.prod(t.data.shape[a] for a in axes)
+    except (IndexError, TypeError) as exc:
         raise ShapeError(f"mean on axis {axis} of shape {t.shape}: {exc}") from exc
     return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / n)
 

@@ -367,6 +367,76 @@ def test_class_count_mismatch_rejected(tmp_path, capsys):
     assert "n_classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sections,words", [
+    ({"model": {"input": [8, 32, 32]}}, ["model.input=[8, 32, 32]", "[4, 32, 32]"]),
+    ({"petl": {"s_adapter": 0.5}}, ["s_adapter=0.5", "s_patt=0.8"]),
+], ids=["input-not-the-dataset-shape", "s_adapter-not-s_patt"])
+def test_values_no_run_uses_are_config_errors(tmp_path, capsys, sections, words):
+    path = write_config(tmp_path, make_config(**sections))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert all(w in str(exc.value) for w in words), str(exc.value)
+    out = tmp_path / "out"
+    for verb in ("run", "count", "gradcheck"):
+        assert cli_main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert "config error" in capsys.readouterr().err
+
+
+# A config with no ablation section, and another valid value for every model
+# and petl key: each changes the model config or insert spec that run000
+# attaches, or the config is an error; none is dropped.
+GUARD = {"schema_version": 1, "model": {"preset": "swin-micro"},
+         "petl": {"mechanisms": ["prefix", "adapter_parallel", "prompt", "patt"],
+                  "d_bottle": 8},
+         "dataset": {"n_classes": 4, "per_class": 1, "eval_per_class": 1, "frames": 8,
+                     "height": 32, "width": 32}}
+OTHER_VALUES = {
+    ("model", "preset"): "swin-b", ("model", "input"): [4, 32, 32],
+    ("model", "patch"): [1, 4, 4], ("model", "dims"): [8, 16, 32, 64],
+    ("model", "blocks"): [1, 1, 1, 1], ("model", "heads"): [1, 2, 2, 4],
+    ("model", "window"): [2, 2, 2], ("model", "ffn_ratio"): 2, ("model", "num_classes"): 5,
+    ("petl", "mechanisms"): ["patt"], ("petl", "d_bottle"): 4, ("petl", "d_middle"): 3,
+    ("petl", "d_token"): 2, ("petl", "d_prompt"): 2, ("petl", "s_adapter"): 0.5,
+    ("petl", "s_patt"): 0.5, ("petl", "sites"): "QKV", ("petl", "tune_head"): False,
+    ("petl", "attach_stages"): [True, False, True, True],
+}
+
+
+class Attached(Exception):
+    """Raised in place of run000's attach, carrying its model config and spec."""
+
+
+def first_run_setup(raw, out, monkeypatch):
+    """(model config, insert spec) that ``run`` attaches for run000 of ``raw``."""
+    cfg = config_from_dict(raw)
+
+    def attach(model, spec, seed=1):
+        raise Attached(model.cfg, spec)
+
+    monkeypatch.setattr(experiment, "attach_petl", attach)
+    with pytest.raises(Attached) as exc:
+        run_experiment(cfg, out_dir=out, quiet=True)
+    return exc.value.args
+
+
+def test_other_values_cover_every_model_and_petl_key():
+    assert set(OTHER_VALUES) == {(section, key) for section in ("model", "petl")
+                                 for key in FULL[section]}
+
+
+@pytest.mark.parametrize("path", OTHER_VALUES, ids=".".join)
+def test_every_model_and_petl_key_reaches_the_first_run(tmp_path, monkeypatch, path):
+    base = first_run_setup(copy.deepcopy(GUARD), tmp_path, monkeypatch)
+    raw = copy.deepcopy(GUARD)
+    set_leaf(raw, path, OTHER_VALUES[path])
+    try:
+        config_from_dict(raw)
+    except ConfigError:
+        return
+    assert first_run_setup(raw, tmp_path, monkeypatch) != base
+
+
 def test_report_json_carries_wall_seconds(tmp_path):
     cfg = parse_config(write_config(tmp_path, make_config()))
     run_experiment(cfg, out_dir=tmp_path / "out", quiet=True)
@@ -450,6 +520,55 @@ def test_run_gradcheck_small_model(tmp_path):
     )
     cfg = parse_config(write_config(tmp_path, raw))
     assert run_gradcheck(cfg, quiet=True) < 1e-4
+
+
+def test_gradcheck_uses_the_dataset_clip_shape(tmp_path, capsys):
+    # the preset's input is 8 frames; the dataset's clips, which every run trains on, 4
+    raw = make_config(model={"dims": [2, 2, 4, 4], "heads": [1, 1, 2, 2]},
+                      petl={"mechanisms": ["patt"], "d_bottle": 2})
+    del raw["model"]["input"]
+    path = write_config(tmp_path, raw)
+    assert cli_main(["gradcheck", "--config", str(path), "--quiet"]) == 0
+    capsys.readouterr()
+    assert parse_config(path).model.input_size == (4, 32, 32)
+
+
+def test_run_count_and_gradcheck_build_the_same_first_run(tmp_path, monkeypatch):
+    # the petl section (d_bottle 2, KV) is no run's: run000 is d_bottle 4 at QKV
+    raw = make_config(petl={"d_bottle": 2, "sites": "KV"},
+                      ablation={"d_bottle": [4], "sites": ["QKV"]})
+    cfg = parse_config(write_config(tmp_path, raw))
+    built = {}
+
+    def weights(model):
+        return {p.path: (p.tensor.requires_grad, p.tensor.data.copy())
+                for p in model.registry}
+
+    def checked(model, clips, labels, **kwargs):
+        built["gradcheck"] = weights(model)
+        assert clips.shape[1:] == model.cfg.input_size + (3,)
+        return harness.GradCheckResult(0.0, "x", 0, 0.0, 0.0)
+
+    train = experiment.train
+
+    def trained(model, *args, **kwargs):
+        built.setdefault("run", weights(model))
+        return train(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "grad_check", checked)
+    monkeypatch.setattr(experiment, "train", trained)
+    run_gradcheck(cfg, quiet=True)
+    row = run_experiment(cfg, out_dir=tmp_path / "run", quiet=True).rows[0]
+    counted = emit_counts(cfg, out_dir=tmp_path / "count", quiet=True)["petl"][0]
+
+    trainable = {path for path, (grad, _) in built["gradcheck"].items() if grad}
+    assert trainable == {path for path, (grad, _) in built["run"].items() if grad}
+    assert any(path.endswith("patt.up_q.weight") for path in trainable)
+    assert built["gradcheck"].keys() == built["run"].keys()
+    for path, (_, data) in built["gradcheck"].items():
+        assert np.array_equal(data, built["run"][path][1]), path
+    n = sum(data.size for path, (_, data) in built["gradcheck"].items() if path in trainable)
+    assert n == row.trainable_params == counted["trainable_params"]
 
 
 # -- CLI ----------------------------------------------------------------------------

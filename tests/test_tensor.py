@@ -876,6 +876,13 @@ SHAPE_ERROR_CASES = {
     "mul": (lambda: T.mul(zeros(2, 3), zeros(4)), ["mul", "(2, 3)", "(4,)"]),
     "tsum-axis": (lambda: T.tsum(zeros(2, 3), axis=3), ["sum", "axis 3", "(2, 3)"]),
     "tmean-axis": (lambda: T.tmean(zeros(2, 3), axis=3), ["mean", "axis 3", "(2, 3)"]),
+    "tmean-float-axis": (lambda: T.tmean(zeros(2, 3), axis=1.5),
+                         ["mean", "axis 1.5", "(2, 3)"]),
+    "tmean-tuple-axis": (lambda: T.tmean(zeros(2, 3), axis=(0, 3)),
+                         ["mean", "axis (0, 3)", "(2, 3)"]),
+    "tmean-repeated-axis": (lambda: T.tmean(zeros(2, 3), axis=(1, -1)), ["sum", "(2, 3)"]),
+    "gather_rows-float-axis": (lambda: T.gather_rows(zeros(2, 3), [0], axis=1.5),
+                               ["gather_rows", "axis 1.5", "(2, 3)"]),
     "layer_norm-0d": (lambda: T.layer_norm(zeros(), zeros(1), zeros(1)), ["layer_norm", "()"]),
     "log_softmax-axis": (lambda: T.log_softmax(zeros(2), axis=3), ["log_softmax", "axis 3"]),
 }
@@ -887,6 +894,18 @@ def test_bad_shapes_raise_shape_error(name):
     with pytest.raises(ShapeError) as exc:
         call()
     assert all(w in str(exc.value) for w in words), str(exc.value)
+
+
+@pytest.mark.parametrize("axis", [(0, 1), (-1, 0), (2,), (), None, 1])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_tmean_takes_the_axes_of_tsum(axis, keepdims):
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 4)), requires_grad=True)
+    y = T.tmean(x, axis=axis, keepdims=keepdims)
+    want = np.mean(x.data, axis=axis, keepdims=keepdims)
+    assert y.shape == want.shape
+    np.testing.assert_allclose(y.data, want, rtol=1e-15, atol=0)
+    T.tsum(y).backward()
+    assert np.all(x.grad == 1.0 / (x.data.size // want.size))
 
 
 def test_nonfinite_construction_rejected():
