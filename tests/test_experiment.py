@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -303,6 +304,65 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(parse_config(path), out_dir=tmp_path / "b", quiet=True)
     for name in ("report.csv", "history_run000.csv", "history_run001.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of every file that `run`, `plot` and `count` write: a 2x2x2 micro
+# ablation at 2 steps, and `count` on Swin-B. report.json is hashed without its
+# wall_seconds lines, the one value that differs between reruns.
+PINNED_MICRO = {"schema_version": 1, "seed": 7,
+                "petl": {"mechanisms": ["adapter_parallel", "patt"], "tune_head": True},
+                "dataset": {"per_class": 2, "eval_per_class": 1},
+                "optimizer": {"steps": 2, "batch_size": 2},
+                "ablation": {"d_bottle": [2, 4], "s": [0.5, 0.8], "sites": ["KV", "QKV"]}}
+PINNED_SWIN_B = {"schema_version": 1, "model": {"preset": "swin-b"},
+                 "petl": {"mechanisms": ["adapter_parallel", "patt"], "tune_head": True},
+                 "dataset": {"n_classes": 174, "height": 224, "width": 224},
+                 "ablation": {"d_bottle": [64, 128], "sites": ["KV", "QKV"]}}
+OUTPUT_DIGESTS = {
+    "micro": {
+        "counts_petl.csv": "103a4f915c5c7580bff1c15f2d01d7962eb3fb6f2b1605d1bfa1e65106226195",
+        "counts_positions.csv": "886632edac5173c5fad13c2ad7512b5ce9be9ba4122dcbc9a85456cf26e61b22",
+        "history_run000.csv": "476d90033c38509af1c04a065a6009f9d27c5a520569a4208b4b527944b0740a",
+        "history_run001.csv": "a02a2e9e947eda09bac177d94a872656352b5833fc79884331638f4d558b0e80",
+        "history_run002.csv": "5e4e1297feddb9b81ed1f9831e1ceb0b764d37f395e9257340bf683ddd17cac9",
+        "history_run003.csv": "19553dcddf81518f9a9ef8483a560e126d7b164a015d53896918e780ab6755aa",
+        "history_run004.csv": "0c1c25922e016b9ca5c2141047fae4619c1bfdf1f2033d2bbefc49bebdf21918",
+        "history_run005.csv": "2aec6aad869e56e0071a7fedbe2b361719f3a51e9d3a3b39c4141f97e49c5862",
+        "history_run006.csv": "12726ce032212bf80991a47e1f536a35e963e33357c44ce20e9d06a3d5ca7cab",
+        "history_run007.csv": "17bbd1711ed23f2b37caa307a66b304d86a6b73f3b17fa0a9e17bcd83d71ceda",
+        "report.csv": "4500334047bb6720378ddda4126d4123b5aa357bec5e933df9f1a9710cb93613",
+        "report.json": "fbc9209ef2cd228f86499d3f2c6637f4017e2629694f906b535525f35a44662f",
+        "tradeoff.csv": "1555b0b6074925ef5945fa2be75325c09821965fb17b4380cd6cd6363bb2733a",
+    },
+    "swin-b": {
+        "counts_petl.csv": "13409e45fcc86a88b4b1128ae2670dfd0c5897bbcd6a1d78c7d101a2cc8227d2",
+        "counts_positions.csv": "04c2b2348a3fc37da9c386b62dde9af09330f0ca1ef3d2a322c712684daf7f7c",
+    },
+}
+
+
+def output_digests(out):
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = re.sub(rb'\n *"wall_seconds": [^\n]*', b"", data)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name,raw,verbs", [
+    ("micro", PINNED_MICRO, ("run", "plot", "count")),
+    ("swin-b", PINNED_SWIN_B, ("count",)),
+])
+def test_cli_output_bytes_pinned(tmp_path, capsys, name, raw, verbs):
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    for verb in verbs:
+        args = [] if verb == "plot" else ["--config", str(path)]
+        assert cli_main([verb, *args, "--out", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert output_digests(out) == OUTPUT_DIGESTS[name]
 
 
 def test_parallel_mode_matches_sequential(tmp_path):
