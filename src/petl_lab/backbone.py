@@ -272,15 +272,13 @@ def _windowed_attention(tokens: Tensor, w: dict[str, Tensor], layout: WindowLayo
     """
     extras = extras or AttentionExtras()
     table = w["attn.bias_table"]
-    heads = table.data.shape[1]
     *lead, _, d = tokens.data.shape
     outs = []
     for group in layout.groups:
         idx = group.tokens
         add_q, add_k, add_v = (None if t is None else T.gather_rows(t, idx, axis=-2)
                                for t in (extras.add_q, extras.add_k, extras.add_v))
-        rows = T.gather_rows(table, group.bias_index.reshape(-1))
-        bias = T.transpose(T.reshape(rows, (*group.bias_index.shape, heads)), (0, 3, 1, 2))
+        bias = T.transpose(T.gather_rows(table, group.bias_index), (0, 3, 1, 2))
         out = window_attention(T.gather_rows(tokens, idx, axis=-2), w, bias=bias,
                                extra_k=extras.extra_k, extra_v=extras.extra_v,
                                add_q=add_q, add_k=add_k, add_v=add_v)

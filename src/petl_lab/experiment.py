@@ -1,15 +1,18 @@
 """Experiment configs, the ablation runner, and trade-off reports.
 
+This module owns the config format and the format of every report the CLI
+writes; no other module reads a config or writes a report.
+
 Config files are YAML with nested sections and a ``schema_version`` field;
 unknown keys are hard errors so typos cannot silently change a run, and
 every value is type-checked, never coerced: an int must be an int (a bool or
 2.7 is not one), a float an int or float, a bool a bool, and a section a
-mapping. Any other value is a ``ConfigError``. Only this module knows the
-format: a section's keys are its dataclass's field names, but for the renames
-in ``_MODEL_FIELDS`` and ``_PETL_FIELDS``.
+mapping. Any other value is a ``ConfigError``. A section's keys are its
+dataclass's field names, but for the renames in ``_MODEL_FIELDS`` and
+``_PETL_FIELDS``.
 
-A run is one entry of the ablation cross-product (bottleneck width x branch
-scale x insertion sites x frame count). Its quantities come from:
+A :class:`Run` is one entry of the ablation cross-product (bottleneck width
+x branch scale x insertion sites x frame count). Its quantities come from:
 
 * ``dataset``: the clip shape and class count. ``cfg.model.input_size`` is
   its (frames, height, width); a ``model.input`` or ``model.num_classes``
@@ -46,6 +49,9 @@ The runner emits:
 * ``history_<run>.csv`` -- per-step training loss;
 * via :func:`plot_tradeoff`, ``tradeoff.csv`` -- (params, accuracy) scatter
   data grouped by mechanism.
+
+``count`` writes ``counts_positions.csv`` and ``counts_petl.csv``. Every CSV
+goes through :func:`_write_csv`; each file keeps its own cell formatting.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -68,7 +75,7 @@ from .harness import (GradCheckResult, OptimizerConfig, SyntheticVideoDataset, g
 from .petl import PETLSpec, attach_petl
 from .registry import (backbone_parameter_plan, count_params, freeze_backbone,
                        head_count, millions, petl_parameter_plan, plan_total,
-                       positional_count_report, positional_report_csv)
+                       positional_count_report)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "PETL_LAB_OUT"
@@ -97,6 +104,15 @@ class DatasetSpec:
             raise ConfigError("dataset noise must be >= 0")
 
 
+class Run(NamedTuple):
+    """One entry of the ablation cross-product: a value of every axis."""
+
+    d_bottle: int
+    s: float
+    sites: str
+    frames: int
+
+
 @dataclass(frozen=True)
 class AblationAxes:
     d_bottle: tuple[int, ...]
@@ -104,8 +120,10 @@ class AblationAxes:
     sites: tuple[str, ...]
     frames: tuple[int, ...]
 
-    def combos(self):
-        return itertools.product(self.d_bottle, self.s, self.sites, self.frames)
+    def combos(self) -> list[Run]:
+        """Every run, in config order: the last axis varies fastest."""
+        axes = (getattr(self, axis) for axis in Run._fields)
+        return [Run(*values) for values in itertools.product(*axes)]
 
 
 @dataclass(frozen=True)
@@ -289,8 +307,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         output_dir=top.get("output_dir"),
     )
     # Every run is checked here, so no run trains before a later one is found invalid.
-    for combo in cfg.ablation.combos():
-        run_setup(cfg, *combo)
+    for run in cfg.ablation.combos():
+        run_setup(cfg, run)
     return cfg
 
 
@@ -353,9 +371,17 @@ _ROW_SCHEMA = {"run_id": str, "mechanism": str, "d_bottle": int, "s": float, "si
                "train_top1": float, "eval_top1": (float, None), "wall_seconds": float,
                "seed": int}
 
-REPORT_COLUMNS = ("run_id", "mechanism", "d_bottle", "s", "sites", "frames",
-                  "trainable_params", "trainable_millions", "train_top1",
-                  "eval_top1", "seed")
+# Wall-clock seconds stay out of the CSV: rerunning the same config must
+# produce byte-identical files.
+REPORT_COLUMNS = tuple(c for c in _ROW_SCHEMA if c != "wall_seconds")
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV report with Unix line ends: floats as ``repr``, None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -363,19 +389,11 @@ class TradeoffReport:
     rows: list[RunRow] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        # Wall-clock seconds stay out of the CSV: rerunning the same config
-        # must produce byte-identical files.
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(REPORT_COLUMNS)
-            for r in self.rows:
-                writer.writerow([
-                    r.run_id, r.mechanism, r.d_bottle, repr(r.s), r.sites, r.frames,
-                    r.trainable_params, f"{r.trainable_millions:.2f}",
-                    repr(r.train_top1),
-                    "" if r.eval_top1 is None else repr(r.eval_top1),
-                    r.seed,
-                ])
+        rows = []
+        for r in self.rows:
+            cells = {**dataclasses.asdict(r), "trainable_millions": f"{r.trainable_millions:.2f}"}
+            rows.append([cells[c] for c in REPORT_COLUMNS])
+        _write_csv(path, REPORT_COLUMNS, rows)
 
     def write_json(self, path) -> None:
         payload = [dataclasses.asdict(r) for r in self.rows]
@@ -414,21 +432,20 @@ def _run_label(spec: PETLSpec) -> str:
     return "+".join(spec.mechanisms) if spec.mechanisms else "none"
 
 
-def run_setup(cfg: ExperimentConfig, d_bottle: int, s: float, sites: str,
-              frames: int) -> tuple[ModelConfig, PETLSpec]:
-    """The validated model config and insert spec of the run with these axis values."""
+def run_setup(cfg: ExperimentConfig, run: Run) -> tuple[ModelConfig, PETLSpec]:
+    """The validated model config and insert spec of ``run``."""
     ds = cfg.dataset
-    model = _validated(dataclasses.replace(cfg.model, input_size=(frames, ds.height, ds.width)))
-    spec = dataclasses.replace(cfg.petl, d_bottle=d_bottle, s_adapter=s, s_patt=s,
-                               patt_sites=_sites_tuple(sites))
+    model = _validated(dataclasses.replace(cfg.model,
+                                           input_size=(run.frames, ds.height, ds.width)))
+    spec = dataclasses.replace(cfg.petl, d_bottle=run.d_bottle, s_adapter=run.s, s_patt=run.s,
+                               patt_sites=_sites_tuple(run.sites))
     spec.validate(model)
     return model, spec
 
 
-def build_run(cfg: ExperimentConfig, index: int, d_bottle: int, s: float, sites: str,
-              frames: int) -> VideoSwinModel:
+def build_run(cfg: ExperimentConfig, index: int, run: Run) -> VideoSwinModel:
     """Run ``index``'s model, frozen, with its inserts (spec ``model.petl_spec``)."""
-    model_cfg, spec = run_setup(cfg, d_bottle, s, sites, frames)
+    model_cfg, spec = run_setup(cfg, run)
     seed = cfg.seed + index
     model = build_model(model_cfg, seed=seed)
     attach_petl(model, spec, seed=seed + 1)
@@ -446,24 +463,21 @@ def _make_splits(cfg: ExperimentConfig, frames: int):
                          seed=cfg.seed + 9999, noise=ds.noise))
 
 
-def execute_run(cfg: ExperimentConfig, index: int, d_bottle: int, s: float,
-                sites: str, frames: int, out_dir: Path,
+def execute_run(cfg: ExperimentConfig, index: int, run: Run, out_dir: Path,
                 train_ds: SyntheticVideoDataset, eval_ds: SyntheticVideoDataset) -> RunRow:
     """Train run ``index`` on the given datasets (read only) and write its history."""
     run_id = f"run{index:03d}"
     run_seed = cfg.seed + index
-    model = build_run(cfg, index, d_bottle, s, sites, frames)
+    model = build_run(cfg, index, run)
     history = train(model, train_ds, cfg.optimizer, seed=run_seed, eval_dataset=eval_ds)
-    history.write_csv(out_dir / f"history_{run_id}.csv")
+    _write_csv(out_dir / f"history_{run_id}.csv", ("step", "loss"),
+               enumerate(history.losses, start=1))
 
     trainable = count_params(model.registry, "trainable")
     return RunRow(
         run_id=run_id,
         mechanism=_run_label(model.petl_spec),
-        d_bottle=d_bottle,
-        s=s,
-        sites=sites,
-        frames=frames,
+        **run._asdict(),
         trainable_params=trainable,
         trainable_millions=millions(trainable),
         train_top1=history.final_train_top1,
@@ -477,16 +491,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    quiet: bool = False) -> TradeoffReport:
     """Execute the config's ablation cross-product and write all reports."""
     out = resolve_output_dir(cfg.output_dir, out_dir)
-    combos = list(cfg.ablation.combos())
+    runs = cfg.ablation.combos()
     if not quiet:
-        print(f"cross-product: {len(combos)} run(s) -> {out}")
+        print(f"cross-product: {len(runs)} run(s) -> {out}")
 
     report = TradeoffReport()
     splits = {}  # frames -> (train, held-out); runs only read them
-    for i, (db, s, sites, frames) in enumerate(combos):
-        if frames not in splits:
-            splits[frames] = _make_splits(cfg, frames)
-        row = execute_run(cfg, i, db, s, sites, frames, out, *splits[frames])
+    for i, run in enumerate(runs):
+        if run.frames not in splits:
+            splits[run.frames] = _make_splits(cfg, run.frames)
+        row = execute_run(cfg, i, run, out, *splits[run.frames])
         if not quiet:
             print(f"  {row.run_id}: mech={row.mechanism} d_bottle={row.d_bottle} "
                   f"s={row.s} sites={row.sites} frames={row.frames} "
@@ -502,40 +516,31 @@ def emit_counts(cfg: ExperimentConfig, out_dir: str | None = None,
                 quiet: bool = False) -> dict:
     """Write parameter-count reports without training (plans only, no weights)."""
     out = resolve_output_dir(cfg.output_dir, out_dir)
-    is_swin_b = (cfg.model.embed_dims, cfg.model.blocks_per_stage,
-                 cfg.model.heads_per_stage, cfg.model.window_size) == (
-                     SWIN_B.embed_dims, SWIN_B.blocks_per_stage,
-                     SWIN_B.heads_per_stage, SWIN_B.window_size)
+    # The Swin-B architecture on any clip shape and class count.
+    is_swin_b = dataclasses.replace(cfg.model, input_size=SWIN_B.input_size,
+                                    num_classes=SWIN_B.num_classes) == SWIN_B
 
-    positional_report_csv(cfg.model, out / "counts_positions.csv")
     positions = positional_count_report(cfg.model)
+    _write_csv(out / "counts_positions.csv", ("position", "count_exact", "count_millions"),
+               ((r.position, r.count_exact, f"{r.count_millions:.2f}") for r in positions))
     total = plan_total(backbone_parameter_plan(cfg.model))
     head = head_count(cfg.model.embed_dims[-1], cfg.model.num_classes)
     petl_rows = []
-    for i, (db, s, sites, frames) in enumerate(cfg.ablation.combos()):
-        model_cfg, spec = run_setup(cfg, db, s, sites, frames)
+    for i, run in enumerate(cfg.ablation.combos()):
+        model_cfg, spec = run_setup(cfg, run)
         trainable = plan_total(petl_parameter_plan(model_cfg, spec))
         if spec.tune_head:
             trainable += head
         petl_rows.append({
             "config_id": f"cfg{i:03d}",
             "mechanism": _run_label(spec),
-            "d_bottle": db,
-            "s": s,
-            "sites": sites,
-            "frames": frames,
+            **run._asdict(),
             "trainable_params": trainable,
             "trainable_millions": millions(trainable),
             "total_params": total,
             "reference_scale": "swin-b" if is_swin_b else "",
         })
-    with open(out / "counts_petl.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(petl_rows[0].keys()) if petl_rows else []
-        writer.writerow(header)
-        for row in petl_rows:
-            writer.writerow([
-                row[k] if k not in ("s",) else repr(row[k]) for k in header])
+    _write_csv(out / "counts_petl.csv", petl_rows[0].keys(), (r.values() for r in petl_rows))
 
     if not quiet:
         for row in positions:
@@ -558,18 +563,17 @@ def plot_tradeoff(report: TradeoffReport, path) -> None:
     groups: dict[str, list[RunRow]] = {}
     for row in report.rows:
         groups.setdefault(row.mechanism, []).append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mechanism", "trainable_millions", "top1"])
-        for mech in groups:
-            for row in sorted(groups[mech], key=lambda r: r.trainable_params):
-                top1 = row.eval_top1 if row.eval_top1 is not None else row.train_top1
-                writer.writerow([mech, f"{row.trainable_millions:.2f}", repr(top1)])
+    rows = []
+    for mech, group in groups.items():
+        for row in sorted(group, key=lambda r: r.trainable_params):
+            top1 = row.eval_top1 if row.eval_top1 is not None else row.train_top1
+            rows.append((mech, f"{row.trainable_millions:.2f}", top1))
+    _write_csv(path, ("mechanism", "trainable_millions", "top1"), rows)
 
 
 def run_gradcheck(cfg: ExperimentConfig, quiet: bool = False) -> GradCheckResult:
     """Finite-difference the first run's model on two clips of its shape."""
-    model = build_run(cfg, 0, *next(cfg.ablation.combos()))
+    model = build_run(cfg, 0, cfg.ablation.combos()[0])
     ds = cfg.dataset
     data = make_dataset(ds.n_classes, 1, model.cfg.input_size, seed=cfg.seed, noise=ds.noise)
     err = grad_check(model, data.clips[:2], data.labels[:2])

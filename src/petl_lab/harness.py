@@ -182,12 +182,6 @@ class TrainHistory:
     def final_eval_top1(self) -> float | None:
         return self.evals[-1][2]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("step,loss\n")
-            for step, loss in enumerate(self.losses, start=1):
-                fh.write(f"{step},{loss!r}\n")
-
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
     """Class indices must be integers in [0, n_classes)."""

@@ -1,7 +1,7 @@
 """Parameter naming, freezing, and exact trainable-parameter accounting.
 
 Counts are kept as exact integers; rounding to millions (two decimals)
-happens only when rendering reports.
+happens only in :func:`millions`.
 
 The shape plans (:func:`backbone_parameter_plan` and
 :func:`petl_parameter_plan`) are the one place that knows every weight's
@@ -21,6 +21,7 @@ parameters train alongside any attention-internal site).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
@@ -129,13 +130,6 @@ def freeze_backbone(model, spec) -> None:
 # -- shape plans and allocation ----------------------------------------------
 
 
-def _prod(shape: Iterable[int]) -> int:
-    out = 1
-    for s in shape:
-        out *= s
-    return out
-
-
 def backbone_parameter_plan(cfg) -> list[tuple[str, tuple[int, ...]]]:
     """(path, shape) for every backbone weight, in registration order."""
     p, m1, m2 = cfg.window_size
@@ -218,7 +212,7 @@ def petl_parameter_plan(cfg, spec) -> list[tuple[str, tuple[int, ...]]]:
 
 def plan_total(plan: Iterable[tuple[str, tuple[int, ...]]],
                predicate: Callable[[str], bool] | None = None) -> int:
-    return sum(_prod(shape) for path, shape in plan if predicate is None or predicate(path))
+    return sum(math.prod(shape) for path, shape in plan if predicate is None or predicate(path))
 
 
 def allocate(registry: ParameterRegistry, plan: Iterable[tuple[str, tuple[int, ...]]],
@@ -305,14 +299,3 @@ def positional_count_report(cfg) -> list[PositionCount]:
         "DownSample": down,
     }
     return [PositionCount(name, rows[name]) for name in POSITION_ORDER]
-
-
-def positional_report_csv(cfg, path) -> None:
-    """Write the positional report as CSV: position,count_exact,count_millions."""
-    import csv
-    rows = positional_count_report(cfg)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["position", "count_exact", "count_millions"])
-        for r in rows:
-            writer.writerow([r.position, r.count_exact, f"{r.count_millions:.2f}"])

@@ -450,7 +450,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat of zero tensors")
     try:
         data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:  # np.exceptions.AxisError is a ValueError too
+    except (TypeError, ValueError) as exc:  # a float axis; np.exceptions.AxisError
         raise ShapeError(f"concat of shapes {[t.shape for t in tensors]} on axis {axis}: "
                          f"{exc}") from exc
     offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
@@ -510,7 +510,7 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
 def tsum(t: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
     try:
         data = t.data.sum(axis=axis, keepdims=keepdims)
-    except ValueError as exc:  # np.exceptions.AxisError
+    except (TypeError, ValueError) as exc:  # a float axis; np.exceptions.AxisError
         raise ShapeError(f"sum on axis {axis} of shape {t.shape}: {exc}") from exc
     node, source = t._node, t.data.shape
 
@@ -551,9 +551,10 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     x = t.data
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"log_softmax axis {axis} invalid for shape {t.shape}")
-    m = x.max(axis=axis, keepdims=True)
+    try:
+        m = x.max(axis=axis, keepdims=True)
+    except (TypeError, ValueError) as exc:  # a float axis; np.exceptions.AxisError
+        raise ShapeError(f"log_softmax axis {axis} invalid for shape {t.shape}: {exc}") from exc
     shifted = x - m
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import hashlib
@@ -6,6 +7,7 @@ import json
 import math
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,6 +529,35 @@ def test_emit_counts_swin_b_head_row(tmp_path):
     assert positions["Attn, QKV"] == 24.69
     assert (tmp_path / "out" / "counts_positions.csv").exists()
     assert (tmp_path / "out" / "counts_petl.csv").exists()
+
+
+@pytest.mark.parametrize("model,reference", [
+    ({}, True), ({"ffn_ratio": 2}, False), ({"patch": [1, 4, 4]}, False),
+], ids=["preset", "ffn_ratio", "patch"])
+def test_only_the_swin_b_architecture_is_the_reference_scale(tmp_path, capsys, model,
+                                                             reference):
+    raw = {"schema_version": 1, "model": {"preset": "swin-b", **model},
+           "petl": {"mechanisms": [], "tune_head": True},
+           "dataset": {"n_classes": 174, "height": 224, "width": 224}}
+    result = emit_counts(parse_config(write_config(tmp_path, raw)), out_dir=tmp_path / "out")
+    assert result["swin_b_reference"] is reference
+    assert [row["reference_scale"] for row in result["petl"]] == ["swin-b" if reference else ""]
+    assert ("matches the full Swin-B reference" in capsys.readouterr().out) is reference
+
+
+def test_only_experiment_writes_reports():
+    # Only experiment.py knows the report formats; checkpoint.py keeps its own file.
+    csv_importers, openers = set(), set()
+    for path in Path(experiment.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                csv_importers.add(path.name)
+            if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                openers.add(path.name)
+    assert csv_importers == {"experiment.py"}
+    assert openers == {"experiment.py", "checkpoint.py"}
 
 
 def test_emit_counts_monotonic_in_d_bottle(tmp_path):

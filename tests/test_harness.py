@@ -13,7 +13,7 @@ from petl_lab import (SWIN_MICRO, ConfigError, ModelConfig, NonFiniteError, Opti
                       freeze_backbone, grad_check, make_dataset, train)
 from petl_lab import tensor as tensor_mod
 from petl_lab import tensor as T
-from petl_lab import harness
+from petl_lab import experiment, harness
 from petl_lab.harness import SyntheticVideoDataset, _batch_loss, make_optimizer
 
 from conftest import TINY, nan_add
@@ -300,13 +300,27 @@ def test_bapat_capacity_at_least_head_only():
     assert top_bapat >= top_head
 
 
-def test_history_csv(tmp_path):
-    model = _head_only_model(seed=12)
-    ds = make_dataset(3, 2, TINY.input_size, seed=12)
-    hist = train(model, ds, OptimizerConfig(lr=1e-3, steps=3, batch_size=2), seed=12)
-    path = tmp_path / "history.csv"
-    hist.write_csv(path)
-    lines = path.read_text().splitlines()
+def test_history_csv(tmp_path, monkeypatch):
+    # the history file `run` writes for a head-only run on TINY
+    histories = []
+
+    def recorded(*args, **kwargs):
+        histories.append(train(*args, **kwargs))
+        return histories[-1]
+
+    monkeypatch.setattr(experiment, "train", recorded)
+    cfg = experiment.config_from_dict({
+        "schema_version": 1, "seed": 12,
+        "model": {"patch": list(TINY.patch_size), "dims": list(TINY.embed_dims),
+                  "blocks": list(TINY.blocks_per_stage), "heads": list(TINY.heads_per_stage),
+                  "window": list(TINY.window_size), "num_classes": TINY.num_classes},
+        "petl": {"mechanisms": [], "tune_head": True},
+        "dataset": {"n_classes": 3, "per_class": 2, "eval_per_class": 1, "frames": 4},
+        "optimizer": {"lr": 1e-3, "steps": 3, "batch_size": 2}})
+    assert cfg.model == TINY
+    experiment.run_experiment(cfg, out_dir=tmp_path, quiet=True)
+    hist, = histories
+    lines = (tmp_path / "history_run000.csv").read_text().splitlines()
     assert lines[0] == "step,loss"
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == hist.losses[0]

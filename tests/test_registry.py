@@ -11,7 +11,8 @@ from petl_lab import (ConfigError, ParameterRegistry, PETLSpec, Tensor,
                       millions, petl_parameter_plan, positional_count_report,
                       swin_bapat_spec)
 from petl_lab.backbone import SWIN_B, SWIN_MICRO, ModelConfig
-from petl_lab.registry import plan_total, positional_report_csv
+from petl_lab.experiment import config_from_dict, emit_counts
+from petl_lab.registry import plan_total
 
 from conftest import TINY
 from reference_impl import closed_form_backbone_count
@@ -208,9 +209,11 @@ def test_positional_counts_equal_enumeration_on_built_model():
 
 
 def test_positional_report_csv_quotes_commas(tmp_path):
-    path = tmp_path / "positions.csv"
-    positional_report_csv(SWIN_MICRO, path)
-    lines = path.read_text().splitlines()
+    # the positional report `count` writes for the swin-micro preset
+    cfg = config_from_dict({"schema_version": 1})
+    assert cfg.model == SWIN_MICRO
+    emit_counts(cfg, out_dir=tmp_path, quiet=True)
+    lines = (tmp_path / "counts_positions.csv").read_text().splitlines()
     assert lines[0] == "position,count_exact,count_millions"
     assert any(line.startswith('"Attn, QKV"') for line in lines)
 

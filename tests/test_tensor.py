@@ -875,6 +875,11 @@ SHAPE_ERROR_CASES = {
     "add": (lambda: T.add(zeros(2, 3), zeros(4)), ["add", "(2, 3)", "(4,)"]),
     "mul": (lambda: T.mul(zeros(2, 3), zeros(4)), ["mul", "(2, 3)", "(4,)"]),
     "tsum-axis": (lambda: T.tsum(zeros(2, 3), axis=3), ["sum", "axis 3", "(2, 3)"]),
+    "tsum-float-axis": (lambda: T.tsum(zeros(2, 3), axis=1.5), ["sum", "axis 1.5", "(2, 3)"]),
+    "concat-float-axis": (lambda: T.concat([zeros(2, 3), zeros(2, 3)], axis=0.5),
+                          ["concat", "axis 0.5"]),
+    "log_softmax-float-axis": (lambda: T.log_softmax(zeros(2, 3), axis=0.5),
+                               ["log_softmax", "axis 0.5", "(2, 3)"]),
     "tmean-axis": (lambda: T.tmean(zeros(2, 3), axis=3), ["mean", "axis 3", "(2, 3)"]),
     "tmean-float-axis": (lambda: T.tmean(zeros(2, 3), axis=1.5),
                          ["mean", "axis 1.5", "(2, 3)"]),
