@@ -288,17 +288,27 @@ def _windowed_attention(tokens: Tensor, w: dict[str, Tensor], layout: WindowLayo
 
 
 def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float,
-               hooks=None) -> Tensor:
+               hooks=None, scope: str = "block") -> Tensor:
     """One block: windowed attention and FFN, each behind layer norm + residual.
 
-    The FFN (fc1, exact GELU, fc2) is one :func:`~petl_lab.tensor.mlp` op,
-    which keeps only the GELU derivative for backward, plus the GELU output
-    when fc2's weight trains.
+    The two halves run as the scopes ``{scope}.attn`` and ``{scope}.ffn``
+    (see :func:`~petl_lab.tensor.scoped`), with the hooks inside them. The
+    FFN (fc1, exact GELU, fc2) is one :func:`~petl_lab.tensor.mlp` op, which
+    keeps only the GELU derivative for backward, plus the GELU output when
+    fc2's weight trains.
     """
+    z_hat = T.scoped(f"{scope}.attn", _attention_residual, z, w, layout, eps, hooks)
+    return T.scoped(f"{scope}.ffn", _ffn_residual, z_hat, w, eps, hooks)
+
+
+def _attention_residual(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float,
+                        hooks) -> Tensor:
     ln1 = T.layer_norm(z, w["norm1.gamma"], w["norm1.beta"], eps)
     extras = hooks.attention_extras(ln1) if hooks is not None else None
-    z_hat = T.add(_windowed_attention(ln1, w, layout, extras), z)
+    return T.add(_windowed_attention(ln1, w, layout, extras), z)
 
+
+def _ffn_residual(z_hat: Tensor, w: dict[str, Tensor], eps: float, hooks) -> Tensor:
     ln2 = T.layer_norm(z_hat, w["norm2.gamma"], w["norm2.beta"], eps)
     ffn = T.mlp(ln2, w["ffn.fc1.weight"], w["ffn.fc1.bias"],
                 w["ffn.fc2.weight"], w["ffn.fc2.bias"])
@@ -309,11 +319,12 @@ def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float
 
 
 def merge_tokens(z: Tensor, grid: tuple[int, int, int], w: dict[str, Tensor],
-                 eps: float) -> tuple[Tensor, tuple[int, int, int]]:
+                 eps: float) -> Tensor:
     """2x2 spatial patch merge: concat neighbor features, norm, linear reduce.
 
     ``z`` is (..., N, d) over ``grid`` and ``w`` holds the merge's weights by
-    plan name; returns (..., N / 4, d_out) and the halved grid.
+    plan name; returns (..., N / 4, d_out) over the grid with halved spatial
+    extents.
     """
     gt, gh, gw = grid
     if gh % 2 or gw % 2:
@@ -324,7 +335,7 @@ def merge_tokens(z: Tensor, grid: tuple[int, int, int], w: dict[str, Tensor],
     parts = [T.gather_rows(z, q.reshape(-1), axis=-2) for q in quadrants]
     cat = T.concat(parts, axis=-1)
     cat = T.layer_norm(cat, w["norm.gamma"], w["norm.beta"], eps)
-    return T.matmul(cat, w["reduction.weight"]), (gt, gh // 2, gw // 2)
+    return T.matmul(cat, w["reduction.weight"])
 
 
 def extract_patches(video: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -389,6 +400,11 @@ class VideoSwinModel:
         Leading axes are clip-batch axes and stay leading in every token
         tensor, so a batch is one graph; one clip (t, h, w, 3) gives
         (num_classes,). Each clip's logits equal those of its own forward.
+
+        Every op runs in a named scope (see :func:`~petl_lab.tensor.scoped`):
+        ``embed``, ``stage{i}.block{j}.attn``, ``stage{i}.block{j}.ffn``,
+        ``merge{i}`` and ``head``; a non-finite value raises
+        :class:`~petl_lab.errors.NonFiniteError` naming its scope.
         """
         cfg = self.cfg
         eps = cfg.layer_norm_eps
@@ -396,20 +412,24 @@ class VideoSwinModel:
         def w(path: str) -> Tensor:
             return self.registry.get(path).tensor
 
-        z = patch_embed(video, cfg, w("patch_embed.proj.weight"), w("patch_embed.proj.bias"))
-        z = T.layer_norm(z, w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"), eps)
+        def embed(video: np.ndarray) -> Tensor:
+            z = patch_embed(video, cfg, w("patch_embed.proj.weight"), w("patch_embed.proj.bias"))
+            return T.layer_norm(z, w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"), eps)
 
-        grid = cfg.token_grid()
-        for i, blocks in enumerate(self.blocks):
+        def head(z: Tensor) -> Tensor:
+            z = T.layer_norm(z, w("norm.gamma"), w("norm.beta"), eps)
+            pooled = T.tmean(z, axis=-2, keepdims=True)
+            logits = T.linear(pooled, w("head.weight"), w("head.bias"))
+            return T.reshape(logits, (*z.data.shape[:-2], cfg.num_classes))
+
+        z = T.scoped("embed", embed, video)
+        for i, (blocks, grid) in enumerate(zip(self.blocks, cfg.stage_grids())):
             for j, blk in enumerate(blocks):  # odd blocks run on the shifted grid
-                z = swin_block(z, blk, self.layout(grid, bool(j % 2)), eps, self.hooks[i][j])
+                z = swin_block(z, blk, self.layout(grid, bool(j % 2)), eps, self.hooks[i][j],
+                               f"stage{i}.block{j}")
             if i < len(self.downsamples):
-                z, grid = merge_tokens(z, grid, self.downsamples[i], eps)
-
-        z = T.layer_norm(z, w("norm.gamma"), w("norm.beta"), eps)
-        pooled = T.tmean(z, axis=-2, keepdims=True)
-        logits = T.linear(pooled, w("head.weight"), w("head.bias"))
-        return T.reshape(logits, (*z.data.shape[:-2], cfg.num_classes))
+                z = T.scoped(f"merge{i}", merge_tokens, z, grid, self.downsamples[i], eps)
+        return T.scoped("head", head, z)
 
     def zero_grads(self) -> None:
         for p in self.registry:

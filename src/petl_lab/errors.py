@@ -18,7 +18,12 @@ class ConfigError(PETLLabError):
 
 
 class NonFiniteError(PETLLabError):
-    """An operation produced NaN or Inf; results are not trustworthy."""
+    """A value became NaN or Inf; results are not trustworthy.
+
+    The message names the operation, or the model scope (for example
+    ``stage2.block1.attn``) whose result or checked intermediate was not
+    finite; see :func:`petl_lab.tensor.scoped`.
+    """
 
 
 class StaleGraphError(PETLLabError):

@@ -63,23 +63,18 @@ def make_dataset(n_classes: int, per_class: int,
     channel_gain = np.array([1.0, 0.8, 0.6])
     omega = 1.2  # phase advance per frame
 
+    advance = omega * np.arange(t)[:, None, None]
     clips = np.empty((n_classes * per_class, t, h, w, 3))
-    labels = np.empty(n_classes * per_class, dtype=np.int64)
-    idx = 0
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     for c in range(n_classes):
         dy, dx = DRIFT_DIRECTIONS[c % len(DRIFT_DIRECTIONS)]
         freq = 1.5 + 0.75 * (c // len(DRIFT_DIRECTIONS))
-        for _ in range(per_class):
+        wave = 2.0 * math.pi * freq * (dy * ys + dx * xs)
+        for idx in range(c * per_class, (c + 1) * per_class):
             phase0 = rng.uniform(0.0, 2.0 * math.pi)
-            frames = np.empty((t, h, w))
-            for ti in range(t):
-                frames[ti] = np.sin(
-                    2.0 * math.pi * freq * (dy * ys + dx * xs) + phase0 - omega * ti)
-            clip = frames[..., None] * channel_gain
-            clip += rng.normal(0.0, noise, size=clip.shape)
-            clips[idx] = clip
-            labels[idx] = c
-            idx += 1
+            frames = np.sin(wave + phase0 - advance)
+            np.multiply(frames[..., None], channel_gain, out=clips[idx])
+            clips[idx] += rng.normal(0.0, noise, size=clips[idx].shape)
     return SyntheticVideoDataset(clips, labels, n_classes, seed)
 
 

@@ -9,9 +9,14 @@ tracked leaf.
 Design constraints honored throughout:
 
 * float64 only -- finite-difference gradient verification needs the headroom;
-* every operation validates that its output is finite and raises
-  :class:`~petl_lab.errors.NonFiniteError` otherwise (the fused ops below
-  also check one intermediate);
+* non-finite values raise :class:`~petl_lab.errors.NonFiniteError`. Outside
+  any scope every operation checks its output. Inside a :func:`scoped`
+  call, operations skip that check and the scope checks its result once.
+  The few ops that can turn a non-finite input into a finite output keep a
+  check of their own: ``relu`` and ``tanh`` check their input, ``layer_norm``
+  its variance, and the fused ops below one intermediate each. So a scope
+  raises wherever the per-op checks would, and the message names the
+  dotted scope;
 * fixed reduction orderings (numpy's deterministic kernels, single-threaded
   accumulation in backward) so reruns are bit-identical;
 * a graph may be differentiated once; a second backward over the same
@@ -25,7 +30,8 @@ the forward code drops it unless some rule reads it. Each rule decides when
 it is recorded which arrays it reads, from which inputs require a gradient:
 
 * ``matmul`` and ``linear`` keep an operand only if the other one trains,
-  and ``mul`` keeps the other operand only for a tracked side;
+  and ``mul`` keeps the other operand only for a tracked side (a number
+  factor stays a number);
 * ``add``, ``reshape``, ``transpose``, ``broadcast_to``, ``concat``,
   ``gather_rows`` and ``tsum`` keep only shapes and indices;
 * ``relu`` keeps a boolean mask, ``tanh`` its output, ``log_softmax`` its
@@ -34,7 +40,7 @@ it is recorded which arrays it reads, from which inputs require a gradient:
 
 A recorded rule sends gradients only to the inputs that required one when
 it was recorded. An op under :func:`no_grad`, or on inputs none of which
-requires a gradient, builds no node: its output is a leaf.
+requires a gradient, returns its output as a leaf before it builds a rule.
 
 Backward consumes its graph. A leaf owns its ``grad``: it copies the first
 contribution and adds later ones in place. An interior node borrows the
@@ -54,11 +60,12 @@ run, so each formula has one copy:
   softmax output, and q, k and v as views only where a gradient reads them.
   It checks the biased logits (finite there means the product, its scaling
   and the bias were finite, and a softmax of finite logits lies in [0, 1])
-  and its output.
+  and, outside a scope, its output.
 * :func:`mlp` (linear, exact GELU, linear) keeps the GELU derivative,
   computed in forward only when a gradient flows below the GELU, and the
   GELU output only if the second weight requires a gradient. It checks the
-  pre-activation (GELU of a finite value is finite) and its output.
+  pre-activation (GELU of a finite value is finite) and, outside a scope,
+  its output.
 """
 
 from __future__ import annotations
@@ -76,11 +83,20 @@ from .errors import NonFiniteError, ShapeError, StaleGraphError
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_state = threading.local()
+
+class _State(threading.local):
+    """Per-thread engine state: the tracking flag and the open scopes, innermost last."""
+
+    def __init__(self):
+        self.grad_enabled = True
+        self.scopes: list[str] = []
+
+
+_state = _State()
 
 
 def grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+    return _state.grad_enabled
 
 
 @contextmanager
@@ -96,7 +112,28 @@ def no_grad():
 
 def _ensure_finite(data: np.ndarray, op: str) -> None:
     if not np.isfinite(data).all():
-        raise NonFiniteError(f"operation '{op}' produced non-finite values")
+        where = f" in scope '{'.'.join(_state.scopes)}'" if _state.scopes else ""
+        raise NonFiniteError(f"operation '{op}' produced non-finite values{where}")
+
+
+def scoped(name: str, fn: Callable[..., Tensor], *args) -> Tensor:
+    """Run ``fn(*args)`` as the model scope ``name`` and check its result once.
+
+    Scopes nest; a scope's full name joins the open names with dots. Inside
+    a scope, ops skip their own output check (see the module docstring), so
+    every non-finite value raises :class:`~petl_lab.errors.NonFiniteError`
+    naming the scope, either from one of the checks ops keep or from this
+    check of the returned tensor.
+    """
+    scopes = _state.scopes
+    scopes.append(name)
+    try:
+        out = fn(*args)
+        if not np.isfinite(out.data).all():
+            raise NonFiniteError(f"scope '{'.'.join(scopes)}' produced non-finite values")
+    finally:
+        scopes.pop()
+    return out
 
 
 class _Node:
@@ -236,25 +273,28 @@ def _tracked(parents: Sequence[Tensor]) -> bool:
 
 
 def _wants(t: Tensor) -> _Node | None:
-    """The node an op recorded now sends ``t``'s gradient to, or None."""
-    return t._node if t.requires_grad and grad_enabled() else None
+    """The node a tracked op sends ``t``'s gradient to, or None."""
+    return t._node if t.requires_grad else None
 
 
 def _make_op(data: np.ndarray, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], None] | None, op: str) -> Tensor:
     """Assemble an operation output, recording a node only when tracking is on.
 
-    The node's parents are the nodes of the inputs that require a gradient,
-    in the order given; ``backward_fn`` may close over input tensors.
+    Outside any scope the output is checked for finite values. The node's
+    parents are the nodes of the inputs that require a gradient, in the
+    order given; ``backward_fn`` may close over input tensors. An op that
+    :func:`_tracked` rules out passes no parents and no rule.
     """
-    _ensure_finite(data, op)
+    if not _state.scopes:
+        _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._parents = ()
     out._backward_fn = None
     out._consumed = False
-    if _tracked(parents):
+    if backward_fn is not None and _tracked(parents):
         out.requires_grad = True
         out._op = _Node(True, tuple(p._node for p in parents if p.requires_grad), backward_fn)
     else:
@@ -284,6 +324,8 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add of shapes {a.shape} and {b.shape} does not broadcast") from exc
+    if not _tracked((a, b)):
+        return _make_op(data, (), None, "add")
     ga, gb = _wants(a), _wants(b)
     sa, sb = a.data.shape, b.data.shape
 
@@ -297,11 +339,25 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Elementwise product; ``b`` may be a number, a constant factor that is no tensor."""
+    a = _as_tensor(a)
+    if isinstance(b, (int, float)):
+        data = a.data * b
+        if not _tracked((a,)):
+            return _make_op(data, (), None, "mul")
+        node = a._node
+
+        def scale_fn(g):
+            node._accum_grad(g * b)
+
+        return _make_op(data, (a,), scale_fn, "mul")
+    b = _as_tensor(b)
     try:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul of shapes {a.shape} and {b.shape} does not broadcast") from exc
+    if not _tracked((a, b)):
+        return _make_op(data, (), None, "mul")
     ga, gb = _wants(a), _wants(b)
     sa, sb = a.data.shape, b.data.shape
     a_data = a.data if gb is not None else None
@@ -375,6 +431,8 @@ def matmul(a, b) -> Tensor:
     """Batched matrix product ``a @ b`` with numpy broadcasting on batch dims."""
     a, b = _as_tensor(a), _as_tensor(b)
     data = _product(a.data, b.data)
+    if not _tracked((a, b)):
+        return _make_op(data, (), None, "matmul")
     return _make_op(data, (a, b), _affine_rule(a, b, None), "matmul")
 
 
@@ -389,6 +447,8 @@ def linear(x, weight, bias) -> Tensor:
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     data = _affine(x.data, weight.data, bias.data)
+    if not _tracked((x, weight, bias)):
+        return _make_op(data, (), None, "linear")
     return _make_op(data, (x, weight, bias), _affine_rule(x, weight, bias), "linear")
 
 
@@ -401,6 +461,8 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
         data = t.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape of shape {t.shape} to {shape}: {exc}") from exc
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "reshape")
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
@@ -420,8 +482,10 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(a) % ndim if -ndim <= a < ndim else -1 for a in given)
     if sorted(axes) != list(range(ndim)):
         raise ShapeError(f"transpose axes {given} are not a permutation of the axes of {t.shape}")
-    inverse = tuple(np.argsort(axes))
     data = t.data.transpose(axes)
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "transpose")
+    inverse = tuple(np.argsort(axes))
     node = t._node
 
     def backward_fn(g):
@@ -436,6 +500,8 @@ def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
         data = np.broadcast_to(t.data, tuple(shape))
     except ValueError as exc:
         raise ShapeError(f"broadcast_to of shape {t.shape} to {tuple(shape)}: {exc}") from exc
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "broadcast_to")
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
@@ -453,6 +519,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     except (TypeError, ValueError) as exc:  # a float axis; np.exceptions.AxisError
         raise ShapeError(f"concat of shapes {[t.shape for t in tensors]} on axis {axis}: "
                          f"{exc}") from exc
+    if not _tracked(tensors):
+        return _make_op(data, (), None, "concat")
     offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
     nodes = [_wants(t) for t in tensors]
 
@@ -490,6 +558,8 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
             idx = np.where(idx < 0, idx + n, idx)
     idx = idx.astype(np.intp, copy=False)
     data = np.take(t.data, idx, axis=axis)
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "gather_rows")
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
@@ -512,13 +582,16 @@ def tsum(t: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
         data = t.data.sum(axis=axis, keepdims=keepdims)
     except (TypeError, ValueError) as exc:  # a float axis; np.exceptions.AxisError
         raise ShapeError(f"sum on axis {axis} of shape {t.shape}: {exc}") from exc
+    data = np.asarray(data)
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "sum")
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         node._accum_grad(np.broadcast_to(gg, source).copy())
 
-    return _make_op(np.asarray(data), (t,), backward_fn, "sum")
+    return _make_op(data, (t,), backward_fn, "sum")
 
 
 def tmean(t: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -528,6 +601,8 @@ def tmean(t: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool =
         n = math.prod(t.data.shape[a] for a in axes)
     except (IndexError, TypeError) as exc:
         raise ShapeError(f"mean on axis {axis} of shape {t.shape}: {exc}") from exc
+    if n == 0:
+        raise ShapeError(f"mean on axis {axis} of shape {t.shape}: no entries to average")
     return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -558,6 +633,8 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     shifted = x - m
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "log_softmax")
     sm = np.exp(data)
     node = t._node
 
@@ -568,7 +645,12 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    A variance that is not finite raises
+    :class:`~petl_lab.errors.NonFiniteError`: an overflowed one would
+    normalize its row to zeros.
+    """
     try:
         d = t.data.shape[-1]
     except IndexError as exc:
@@ -579,9 +661,12 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = t.data.mean(axis=-1, keepdims=True)
     centered = t.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
+    _ensure_finite(var, "layer_norm variance")
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gamma.data + beta.data
+    if not _tracked((t, gamma, beta)):
+        return _make_op(data, (), None, "layer_norm")
     gt, gg, gb = _wants(t), _wants(gamma), _wants(beta)
     kept_xhat = xhat if gt is not None or gg is not None else None
     kept_inv_std, gamma_data = (inv_std, gamma.data) if gt is not None else (None, None)
@@ -606,9 +691,12 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def relu(t: Tensor) -> Tensor:
+    _ensure_finite(t.data, "relu input")  # relu(-inf) is finite
     data = np.maximum(t.data, 0.0)
-    node = _wants(t)
-    mask = t.data > 0.0 if node is not None else None
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "relu")
+    node = t._node
+    mask = t.data > 0.0
 
     def backward_fn(g):
         node._accum_grad(g * mask)
@@ -617,7 +705,10 @@ def relu(t: Tensor) -> Tensor:
 
 
 def tanh(t: Tensor) -> Tensor:
+    _ensure_finite(t.data, "tanh input")  # tanh(inf) is finite
     data = np.tanh(t.data)
+    if not _tracked((t,)):
+        return _make_op(data, (), None, "tanh")
     node = t._node
 
     def backward_fn(g):
@@ -656,14 +747,17 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     ``w1`` or ``b1`` requires a gradient, the graph keeps the GELU
     derivative, computed in forward, and ``w2``. It keeps ``x`` only if
     ``w1`` requires a gradient, ``w1`` only if ``x`` does, and the GELU
-    output only if ``w2`` does. The pre-activation ``h`` and the output are
-    checked for finite values; GELU of a finite value is finite.
+    output only if ``w2`` does. The pre-activation ``h`` is checked for
+    finite values, as every op's output is outside a scope; GELU of a finite
+    value is finite.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     h = _affine(x.data, w1.data, b1.data)
     _ensure_finite(h, "mlp hidden")
     hidden, cdf = _gelu(h)
     data = _affine(hidden, w2.data, b2.data)
+    if not _tracked((x, w1, b1, w2, b2)):
+        return _make_op(data, (), None, "mlp")
     g_w2, g_b2 = _wants(w2), _wants(b2)
     below = _tracked((x, w1, b1))
     first = _affine_rule(x, w1, b1)
@@ -698,9 +792,10 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
     q, k and v, matmul, scale, bias add, softmax, matmul, merge) bit for bit.
     The graph keeps the softmax output and, as views, q only if k requires a
     gradient, k only if q does, and v only if q, k or the bias does. The
-    biased logits and the output are checked for finite values: finite
-    biased logits mean the product, the scaled product and the bias were
-    finite, and a softmax of finite logits lies in [0, 1].
+    biased logits are checked for finite values, as every op's output is
+    outside a scope: finite biased logits mean the product, the scaled
+    product and the bias were finite, and a softmax of finite logits lies in
+    [0, 1].
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim < 2:
@@ -717,7 +812,6 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
     b = len(lead)
     split = (*range(b), b + 1, b, b + 2)  # (..., rows, heads, hd) <-> (..., heads, rows, hd)
     k_split = (*range(b), b + 1, b + 2, b)  # (..., m, heads, hd) -> (..., heads, hd, m)
-    k_merge = (*range(b), b + 2, b, b + 1)
     qh = q.data.reshape(*lead, n, heads, hd).transpose(split)
     kh = k.data.reshape(*lead, m, heads, hd).transpose(k_split)
     vh = v.data.reshape(*lead, m, heads, hd).transpose(split)
@@ -725,11 +819,9 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
     logits = _product(qh, kh)
     logits *= scale
     parents = (q, k, v)
-    g_bias = None
     if bias is not None:
         bias = _as_tensor(bias)
         parents = (q, k, bias, v)  # the op-by-op graph's visiting order
-        g_bias = _wants(bias)
         try:
             logits += bias.data
         except ValueError as exc:
@@ -738,8 +830,12 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
     _ensure_finite(logits, "attention logits")
     att = _softmax(logits, -1)
     data = _product(att, vh).transpose(split).reshape(*lead, n, d)
+    if not _tracked(parents):
+        return _make_op(data, (), None, "attention")
 
     g_q, g_k, g_v = _wants(q), _wants(k), _wants(v)
+    g_bias = None if bias is None else _wants(bias)
+    k_merge = (*range(b), b + 2, b, b + 1)
     to_logits = g_q is not None or g_k is not None or g_bias is not None
     kept_qh = qh if g_k is not None else None
     kept_kh = kh if g_q is not None else None

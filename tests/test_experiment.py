@@ -675,6 +675,19 @@ def test_cli_run_and_plot(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_that_diverges_exits_1_naming_the_scope(tmp_path, capsys):
+    # lr 1e300 makes the first update overflow a layer norm's variance, which
+    # used to normalize to zeros and let the run finish
+    path = write_config(tmp_path, make_config(optimizer={"lr": 1.0e300}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: .* in scope '(embed|head|merge\d|stage\d\.block\d\.(attn|ffn))'",
+                     err, re.M), err
+    assert not (out / "report.csv").exists()
+
+
 def test_cli_count(tmp_path, capsys):
     path = write_config(tmp_path, make_config())
     out = tmp_path / "out"

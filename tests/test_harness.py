@@ -31,6 +31,23 @@ def test_dataset_regeneration_is_bitwise_identical():
     assert a.clips.tobytes() != c.clips.tobytes()
 
 
+# sha256 over the little-endian clips, then labels, of make_dataset(9, 2, shape,
+# seed=11): nine classes reach the second texture frequency
+DATASET_DIGESTS = {
+    (8, 32, 32): "7c25b589525a29f5c7e7ea66c14579fae0e47126f1fcab6c2fbc89dd800288c2",
+    (8, 64, 64): "bd3a861145e8bf801ca9f70c0ad2340dffef8781f0a8377b3cfccde31b589d8e",
+    (4, 8, 8): "355d205a07293d55c6092781bd450ec3f1e5cc35c6185d1003001802c5233023",
+}
+
+
+@pytest.mark.parametrize("shape", DATASET_DIGESTS)
+def test_dataset_bytes_pinned(shape):
+    ds = make_dataset(9, 2, shape, seed=11)
+    digest = hashlib.sha256(ds.clips.astype("<f8").tobytes())
+    digest.update(ds.labels.astype("<i8").tobytes())
+    assert digest.hexdigest() == DATASET_DIGESTS[shape]
+
+
 def test_dataset_balance_and_shapes():
     ds = make_dataset(4, 32, (8, 32, 32), seed=0)
     assert len(ds) == 128

@@ -890,6 +890,7 @@ SHAPE_ERROR_CASES = {
                                ["gather_rows", "axis 1.5", "(2, 3)"]),
     "layer_norm-0d": (lambda: T.layer_norm(zeros(), zeros(1), zeros(1)), ["layer_norm", "()"]),
     "log_softmax-axis": (lambda: T.log_softmax(zeros(2), axis=3), ["log_softmax", "axis 3"]),
+    "tmean-empty-axis": (lambda: T.tmean(zeros(0, 3), axis=0), ["mean", "axis 0", "(0, 3)"]),
 }
 
 
@@ -925,6 +926,14 @@ def test_nonfinite_operation_rejected():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError):
             T.mul(big, 10.0)
+
+
+def test_layer_norm_rejects_an_overflowing_variance():
+    # layer norm is scale-invariant, so the right answer is about
+    # [1.29, -1.50, 0.31, -0.10]; an overflowed variance gave zeros
+    x = Tensor([[1e200, -1e200, 3e199, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="layer_norm variance"):
+        T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
 def test_second_backward_rejected(rng):
