@@ -17,6 +17,8 @@ import argparse
 import dataclasses
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, PETLLabError
 from .experiment import (TradeoffReport, emit_counts, parse_config,
                          plot_tradeoff, resolve_output_dir, run_experiment,
@@ -50,6 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every non-finite value raises NonFiniteError at a scope check, so numpy's
+# floating-point warnings would only print ahead of the typed error line.
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

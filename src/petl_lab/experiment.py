@@ -23,6 +23,12 @@ x branch scale x insertion sites x frame count). Its quantities come from:
   takes its one value from those, ``s`` from ``petl.s_patt``, so without an
   ``s`` axis ``petl.s_adapter`` must equal ``petl.s_patt``.
 
+The axes are declared once, in the table ``_AXES``: each axis's name (in
+report-column order), value kind and one-value default. ``Run``, the
+ablation schema, the axis columns of the report rows, the defaults and the
+progress line all derive from it, so adding an axis takes one table entry
+and the line of :func:`run_setup` that applies its value.
+
 :func:`run_setup` derives a run's model config and insert spec, and parsing
 checks every run with it. :func:`build_run` builds, attaches and freezes a
 run's model with seeds ``seed + index`` (backbone) and ``seed + index + 1``
@@ -63,7 +69,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -104,26 +110,39 @@ class DatasetSpec:
             raise ConfigError("dataset noise must be >= 0")
 
 
-class Run(NamedTuple):
-    """One entry of the ablation cross-product: a value of every axis."""
+class _Axis(NamedTuple):
+    kind: type
+    default: Callable[[PETLSpec, DatasetSpec], object]  # the value of a config without the axis
+    canonical: Callable = lambda value: value  # a config value as runs and reports hold it
 
-    d_bottle: int
-    s: float
-    sites: str
-    frames: int
+
+def _one_scale(petl: PETLSpec, dataset: DatasetSpec) -> float:
+    _require(petl.s_adapter == petl.s_patt,
+             f"petl.s_adapter={petl.s_adapter} differs from petl.s_patt={petl.s_patt}, "
+             f"but every run scales both branches by one s; set them equal or add an "
+             f"ablation 's' axis")
+    return petl.s_patt
+
+
+# Every ablation axis, in report-column order; run_setup applies their values.
+_AXES = {
+    "d_bottle": _Axis(int, lambda petl, dataset: petl.d_bottle),
+    "s": _Axis(float, _one_scale),
+    "sites": _Axis(str, lambda petl, dataset: "".join(petl.patt_sites), str.upper),
+    "frames": _Axis(int, lambda petl, dataset: dataset.frames),
+}
+
+Run = NamedTuple("Run", [(name, axis.kind) for name, axis in _AXES.items()])
+Run.__doc__ = "One entry of the ablation cross-product: a value of every axis."
 
 
 @dataclass(frozen=True)
 class AblationAxes:
-    d_bottle: tuple[int, ...]
-    s: tuple[float, ...]
-    sites: tuple[str, ...]
-    frames: tuple[int, ...]
+    values: tuple[tuple, ...]  # each axis's values, in ``Run`` field order
 
     def combos(self) -> list[Run]:
         """Every run, in config order: the last axis varies fastest."""
-        axes = (getattr(self, axis) for axis in Run._fields)
-        return [Run(*values) for values in itertools.product(*axes)]
+        return [Run(*values) for values in itertools.product(*self.values)]
 
 
 @dataclass(frozen=True)
@@ -166,7 +185,7 @@ _DATASET_SCHEMA = {"n_classes": int, "per_class": int, "eval_per_class": int,
 _OPT_SCHEMA = {"kind": str, "lr": float, "momentum": float, "beta1": float,
                "beta2": float, "eps": float, "steps": int, "batch_size": int,
                "eval_every": int}
-_ABLATION_SCHEMA = {"d_bottle": [int], "s": [float], "sites": [str], "frames": [int]}
+_ABLATION_SCHEMA = {name: [axis.kind] for name, axis in _AXES.items()}
 
 # Config keys that name their dataclass field differently; every other key is
 # its field's name.
@@ -287,23 +306,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     optimizer = OptimizerConfig(**section("optimizer", _OPT_SCHEMA))
     optimizer.validate()
 
-    axes = section("ablation", _ABLATION_SCHEMA)
-    for axis, values in axes.items():
-        _require(len(values) > 0, f"ablation axis '{axis}' must be a non-empty list")
-    _require("s" in axes or petl.s_adapter == petl.s_patt,
-             f"petl.s_adapter={petl.s_adapter} differs from petl.s_patt={petl.s_patt}, "
-             f"but every run scales both branches by one s; set them equal or add an "
-             f"ablation 's' axis")
-    axes = {"d_bottle": (petl.d_bottle,), "s": (petl.s_patt,),
-            "sites": ("".join(petl.patt_sites),), "frames": (dataset.frames,), **axes}
-    axes["sites"] = tuple(x.upper() for x in axes["sites"])
+    given = section("ablation", _ABLATION_SCHEMA)
+    for name, values in given.items():
+        _require(len(values) > 0, f"ablation axis '{name}' must be a non-empty list")
+    axes = (tuple(map(axis.canonical, given.get(name) or (axis.default(petl, dataset),)))
+            for name, axis in _AXES.items())
     cfg = ExperimentConfig(
         seed=top.get("seed", 0),
         model=model,
         petl=petl,
         dataset=dataset,
         optimizer=optimizer,
-        ablation=AblationAxes(**axes),
+        ablation=AblationAxes(tuple(axes)),
         output_dir=top.get("output_dir"),
     )
     # Every run is checked here, so no run trains before a later one is found invalid.
@@ -323,7 +337,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "petl": petl,
         "dataset": _section(cfg.dataset, _DATASET_SCHEMA),
         "optimizer": _section(cfg.optimizer, _OPT_SCHEMA),
-        "ablation": _section(cfg.ablation, _ABLATION_SCHEMA),
+        "ablation": {name: list(values) for name, values in zip(_AXES, cfg.ablation.values)},
     }
 
 
@@ -349,27 +363,16 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass
-class RunRow:
-    run_id: str
-    mechanism: str
-    d_bottle: int
-    s: float
-    sites: str
-    frames: int
-    trainable_params: int
-    trainable_millions: float
-    train_top1: float
-    eval_top1: float | None
-    wall_seconds: float
-    seed: int
-
-
 # The kind of every value of a report.json row, in the config schemas' terms.
-_ROW_SCHEMA = {"run_id": str, "mechanism": str, "d_bottle": int, "s": float, "sites": str,
-               "frames": int, "trainable_params": int, "trainable_millions": float,
+_ROW_SCHEMA = {"run_id": str, "mechanism": str,
+               **{name: axis.kind for name, axis in _AXES.items()},
+               "trainable_params": int, "trainable_millions": float,
                "train_top1": float, "eval_top1": (float, None), "wall_seconds": float,
                "seed": int}
+
+# One report row, a field per _ROW_SCHEMA key.
+RunRow = dataclasses.make_dataclass("RunRow", _ROW_SCHEMA.items(),
+                                    namespace={"__module__": __name__})
 
 # Wall-clock seconds stay out of the CSV: rerunning the same config must
 # produce byte-identical files.
@@ -502,8 +505,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             splits[run.frames] = _make_splits(cfg, run.frames)
         row = execute_run(cfg, i, run, out, *splits[run.frames])
         if not quiet:
-            print(f"  {row.run_id}: mech={row.mechanism} d_bottle={row.d_bottle} "
-                  f"s={row.s} sites={row.sites} frames={row.frames} "
+            values = " ".join(f"{name}={value}" for name, value in run._asdict().items())
+            print(f"  {row.run_id}: mech={row.mechanism} {values} "
                   f"trainable={row.trainable_params} train_top1={row.train_top1:.3f}")
         report.rows.append(row)
 

@@ -1,8 +1,9 @@
-"""Differential property test of the whole model against the plain-numpy oracle.
+"""Differential property tests of the whole model against the plain-numpy oracle
+and against the bare backbone.
 
 Hypothesis draws a small backbone whose grids the windows need not tile (so
-shifted layouts hold windows of several sizes), any valid insert spec, and a
-clip-batch lead of 0-2 axes.
+shifted layouts hold windows of several sizes), any valid insert spec or one
+of criterion 4's zero settings, and a clip-batch lead of 0-2 axes.
 """
 
 import numpy as np
@@ -92,3 +93,43 @@ def test_forward_matches_the_oracle_on_drawn_models(data):
     assert batched.tobytes() == np.stack(single).reshape(batched.shape).tobytes()
     for clip, logits in zip(flat, single):
         np.testing.assert_allclose(logits, ref_forward(model, clip), rtol=0, atol=1e-10)
+
+
+@st.composite
+def zero_settings(draw, cfg: ModelConfig):
+    """(spec, whether to randomize the inserts) of one of criterion 4's zero settings."""
+    setting = draw(st.sampled_from(["prefix", "prompt", "adapter_parallel",
+                                    "adapter_sequential", "patt", "patt s=0"]),
+                   label="setting")
+    scale = draw(st.floats(0.1, 2.0), label="scale")  # nonzero: the zero is elsewhere
+    spec = PETLSpec(
+        mechanisms=(setting.split()[0],),
+        d_bottle=draw(st.integers(1, min(cfg.embed_dims)), label="d_bottle"),
+        d_token=0, d_prompt=0, s_adapter=scale,
+        s_patt=0.0 if setting == "patt s=0" else scale,
+        patt_sites=tuple(draw(st.lists(st.sampled_from("QKV"), unique=True, min_size=1),
+                              label="sites")))
+    return spec, setting == "patt s=0"
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_zero_settings_on_drawn_models_reproduce_the_backbone_bitwise(data):
+    cfg = data.draw(model_configs(), label="cfg")
+    spec, randomize = data.draw(zero_settings(cfg), label="setting")
+    lead = tuple(data.draw(st.lists(st.integers(1, 2), max_size=2), label="lead"))
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+
+    model = build_model(cfg, seed=seed)
+    attach_petl(model, spec, seed=seed + 1)
+    freeze_backbone(model, spec)
+    rng = np.random.default_rng(seed)
+    if randomize:  # s=0 must cancel a branch whose up-projections are not zero
+        for p in model.registry:
+            if ".petl." in p.path:
+                p.tensor.data[...] = rng.normal(scale=0.5, size=p.shape)
+
+    clips = rng.normal(size=(*lead, *cfg.input_size, cfg.in_channels))
+    with T.no_grad():
+        assert np.array_equal(model.forward(clips).data,
+                              build_model(cfg, seed=seed).forward(clips).data)

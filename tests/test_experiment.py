@@ -6,7 +6,10 @@ import io
 import json
 import math
 import re
+import sys
 import threading
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +246,15 @@ def test_config_fuzz_wrong_type_leaf_is_a_config_error(tmp_path_factory, data):
     assert code == 2 and "config error" in err
 
 
+def test_fuzz_leaves_cover_every_key_the_config_writes():
+    # a key config_to_dict writes but FULL lacks would never be fuzzed
+    written = config_to_dict(config_from_dict(copy.deepcopy(FULL)))
+    assert written.keys() <= FULL.keys()
+    for name, section in written.items():
+        if isinstance(section, dict):
+            assert section.keys() <= FULL[name].keys(), name
+
+
 def list_nodes(node, path=()):
     """(path, value) of every list in a nested config."""
     for key, value in node.items():
@@ -445,9 +457,9 @@ def test_values_no_run_uses_are_config_errors(tmp_path, capsys, sections, words)
     assert "config error" in capsys.readouterr().err
 
 
-# A config with no ablation section, and another valid value for every model
-# and petl key: each changes the model config or insert spec that run000
-# attaches, or the config is an error; none is dropped.
+# A config with no ablation section, and another valid value for every model,
+# petl and ablation key: each changes the model config or insert spec that
+# run000 attaches, or the config is an error; none is dropped.
 GUARD = {"schema_version": 1, "model": {"preset": "swin-micro"},
          "petl": {"mechanisms": ["prefix", "adapter_parallel", "prompt", "patt"],
                   "d_bottle": 8},
@@ -462,6 +474,8 @@ OTHER_VALUES = {
     ("petl", "d_token"): 2, ("petl", "d_prompt"): 2, ("petl", "s_adapter"): 0.5,
     ("petl", "s_patt"): 0.5, ("petl", "sites"): "QKV", ("petl", "tune_head"): False,
     ("petl", "attach_stages"): [True, False, True, True],
+    ("ablation", "d_bottle"): [4], ("ablation", "s"): [0.5], ("ablation", "sites"): ["QKV"],
+    ("ablation", "frames"): [4],
 }
 
 
@@ -483,7 +497,7 @@ def first_run_setup(raw, out, monkeypatch):
 
 
 def test_other_values_cover_every_model_and_petl_key():
-    assert set(OTHER_VALUES) == {(section, key) for section in ("model", "petl")
+    assert set(OTHER_VALUES) == {(section, key) for section in ("model", "petl", "ablation")
                                  for key in FULL[section]}
 
 
@@ -491,6 +505,7 @@ def test_other_values_cover_every_model_and_petl_key():
 def test_every_model_and_petl_key_reaches_the_first_run(tmp_path, monkeypatch, path):
     base = first_run_setup(copy.deepcopy(GUARD), tmp_path, monkeypatch)
     raw = copy.deepcopy(GUARD)
+    raw.setdefault(path[0], {})
     set_leaf(raw, path, OTHER_VALUES[path])
     try:
         config_from_dict(raw)
@@ -662,6 +677,47 @@ def test_run_count_and_gradcheck_build_the_same_first_run(tmp_path, monkeypatch)
     assert n == row.trainable_params == counted["trainable_params"]
 
 
+def test_an_axis_is_one_table_entry_and_one_run_setup_line(tmp_path, monkeypatch, capsys):
+    # experiment.py with a throw-away d_token axis, added by these two edits
+    # alone: parsing, run, count, gradcheck and the reports all carry it
+    source = Path(experiment.__file__).read_text()
+    edits = {'    "frames": _Axis(': '    "d_token": _Axis(int, lambda petl, dataset: '
+                                     'petl.d_token),\n    "frames": _Axis(',
+             "spec = dataclasses.replace(cfg.petl, ":
+                 "spec = dataclasses.replace(cfg.petl, d_token=run.d_token, "}
+    for old, new in edits.items():
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    module = types.ModuleType("petl_lab.experiment_with_axis")
+    module.__package__ = "petl_lab"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source, module.__name__, "exec"), module.__dict__)
+
+    raw = make_config(petl={"mechanisms": ["prefix"]}, ablation={"d_token": [1, 2]})
+    cfg = module.parse_config(write_config(tmp_path, raw))
+    assert module.config_from_dict(yaml.safe_load(module.serialize_config(cfg))) == cfg
+    assert [run.d_token for run in cfg.ablation.combos()] == [1, 2]
+    assert [run.d_token for run in module.config_from_dict(make_config()).ablation.combos()] \
+        == [4]
+
+    report = module.run_experiment(cfg, out_dir=tmp_path / "out")
+    assert "d_token=1 frames=4" in capsys.readouterr().out
+    rows = module.TradeoffReport.read_json(tmp_path / "out" / "report.json").rows
+    assert [row.d_token for row in rows] == [1, 2]
+    assert rows[0].trainable_params < rows[1].trainable_params
+    header = (tmp_path / "out" / "report.csv").read_text().splitlines()[0]
+    assert header.startswith("run_id,mechanism,d_bottle,s,sites,d_token,frames,")
+    counted = module.emit_counts(cfg, out_dir=tmp_path / "out", quiet=True)["petl"]
+    assert [r["trainable_params"] for r in counted] == [r.trainable_params for r in report.rows]
+
+    def checked(model, clips, labels, **kwargs):
+        assert model.petl_spec.d_token == 1
+        return harness.GradCheckResult(0.0, "x", 0, 0.0, 0.0)
+
+    monkeypatch.setattr(module, "grad_check", checked)
+    module.run_gradcheck(cfg, quiet=True)
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 
@@ -680,11 +736,14 @@ def test_cli_run_that_diverges_exits_1_naming_the_scope(tmp_path, capsys):
     # used to normalize to zeros and let the run finish
     path = write_config(tmp_path, make_config(optimizer={"lr": 1.0e300}))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert re.search(r"^error: .* in scope '(embed|head|merge\d|stage\d\.block\d\.(attn|ffn))'",
                      err, re.M), err
+    assert len(err.splitlines()) == 1, err
     assert not (out / "report.csv").exists()
 
 
