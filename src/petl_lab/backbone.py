@@ -318,13 +318,12 @@ def _ffn_residual(z_hat: Tensor, w: dict[str, Tensor], eps: float, hooks) -> Ten
     return out
 
 
-def merge_tokens(z: Tensor, grid: tuple[int, int, int], w: dict[str, Tensor],
-                 eps: float) -> Tensor:
-    """2x2 spatial patch merge: concat neighbor features, norm, linear reduce.
+def merge_index(grid: tuple[int, int, int]) -> np.ndarray:
+    """(N / 4, 4) flat token indices of each 2x2 spatial neighborhood of ``grid``.
 
-    ``z`` is (..., N, d) over ``grid`` and ``w`` holds the merge's weights by
-    plan name; returns (..., N / 4, d_out) over the grid with halved spatial
-    extents.
+    Rows follow the merged grid in raster order; the columns are the
+    quadrants ``[0::2, 0::2]``, ``[1::2, 0::2]``, ``[0::2, 1::2]`` and
+    ``[1::2, 1::2]`` of each time slice, Swin's PatchMerging order.
     """
     gt, gh, gw = grid
     if gh % 2 or gw % 2:
@@ -332,8 +331,20 @@ def merge_tokens(z: Tensor, grid: tuple[int, int, int], w: dict[str, Tensor],
     flat = np.arange(gt * gh * gw).reshape(gt, gh, gw)
     quadrants = [flat[:, 0::2, 0::2], flat[:, 1::2, 0::2],
                  flat[:, 0::2, 1::2], flat[:, 1::2, 1::2]]
-    parts = [T.gather_rows(z, q.reshape(-1), axis=-2) for q in quadrants]
-    cat = T.concat(parts, axis=-1)
+    return np.stack([q.reshape(-1) for q in quadrants], axis=-1)
+
+
+def merge_tokens(z: Tensor, index: np.ndarray, w: dict[str, Tensor], eps: float) -> Tensor:
+    """2x2 spatial patch merge: concat neighbor features, norm, linear reduce.
+
+    ``z`` is (..., N, d) and ``index`` is :func:`merge_index` of its grid;
+    ``w`` holds the merge's weights by plan name. One gather takes the
+    (..., N / 4, 4, d) neighborhoods, whose bytes already are the four
+    quadrants' features side by side, so a reshape concatenates them.
+    Returns (..., N / 4, d_out) over the grid with halved spatial extents.
+    """
+    *lead, _, d = z.data.shape
+    cat = T.reshape(T.gather_rows(z, index, axis=-2), (*lead, len(index), 4 * d))
     cat = T.layer_norm(cat, w["norm.gamma"], w["norm.beta"], eps)
     return T.matmul(cat, w["reduction.weight"])
 
@@ -368,7 +379,7 @@ def patch_embed(video: np.ndarray, cfg: ModelConfig, weight: Tensor,
 
 
 class VideoSwinModel:
-    """A built backbone: parameters, cached window layouts, and forward.
+    """A built backbone: parameters, cached window layouts and merge indices, and forward.
 
     Weights are read by plan path, with no weight dataclasses:
     ``blocks[i][j]`` and ``downsamples[i]`` hold the tensors under
@@ -387,12 +398,19 @@ class VideoSwinModel:
         self.hooks: list[list] = [[None] * n for n in cfg.blocks_per_stage]
         self.petl_spec = None
         self._layouts: dict[tuple, WindowLayout] = {}
+        self._merge_indices: dict[tuple, np.ndarray] = {}
 
     def layout(self, grid: tuple[int, int, int], shifted: bool) -> WindowLayout:
         key = (grid, shifted)
         if key not in self._layouts:
             self._layouts[key] = WindowLayout(grid, self.cfg.window_size, shifted)
         return self._layouts[key]
+
+    def merge_index(self, grid: tuple[int, int, int]) -> np.ndarray:
+        """:func:`merge_index` of ``grid``, built on first use and then cached."""
+        if grid not in self._merge_indices:
+            self._merge_indices[grid] = merge_index(grid)
+        return self._merge_indices[grid]
 
     def forward(self, video: np.ndarray) -> Tensor:
         """Run clips (..., t, h, w, 3) through the network; returns logits (..., num_classes).
@@ -428,7 +446,8 @@ class VideoSwinModel:
                 z = swin_block(z, blk, self.layout(grid, bool(j % 2)), eps, self.hooks[i][j],
                                f"stage{i}.block{j}")
             if i < len(self.downsamples):
-                z = T.scoped(f"merge{i}", merge_tokens, z, grid, self.downsamples[i], eps)
+                z = T.scoped(f"merge{i}", merge_tokens, z, self.merge_index(grid),
+                             self.downsamples[i], eps)
         return T.scoped("head", head, z)
 
     def zero_grads(self) -> None:

@@ -86,6 +86,9 @@ from .registry import (backbone_parameter_plan, count_params, freeze_backbone,
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "PETL_LAB_OUT"
 
+# libyaml's loader where PyYAML was built with it: the same documents, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 MODEL_PRESETS = {"swin-micro": SWIN_MICRO, "swin-b": SWIN_B}
 
 _SITE_NAMES = {"QK": ("Q", "K"), "KV": ("K", "V"), "QV": ("Q", "V"), "QKV": ("Q", "K", "V"),
@@ -344,7 +347,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def parse_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

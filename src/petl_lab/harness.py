@@ -198,8 +198,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.shape != tuple(lead):
         raise ShapeError(f"labels of shape {labels.shape} do not match logits {logits.shape}")
     _check_labels(labels, n_classes)
+    # exact for checked labels; arange + uint64 labels would promote to float64
+    rows = labels.reshape(-1).astype(np.intp, copy=False)
     flat = T.reshape(T.log_softmax(logits, axis=-1), (-1,))
-    picked = T.gather_rows(flat, np.arange(labels.size) * n_classes + labels.reshape(-1))
+    picked = T.gather_rows(flat, np.arange(labels.size) * n_classes + rows)
     return T.mul(T.tsum(picked), -1.0)
 
 

@@ -538,28 +538,31 @@ def gather_rows(t: Tensor, index, axis: int = 0) -> Tensor:
     ``index`` may have any shape; it replaces ``axis`` in the output shape
     (``np.take`` semantics, negative entries count from the end). An index
     that does not hold integers, or an entry outside [-n, n), raises
-    :class:`~petl_lab.errors.ShapeError`. Backward scatters by assignment,
-    or accumulates with ``np.add.at`` where ``index`` repeats an entry.
+    :class:`~petl_lab.errors.ShapeError`; ``np.take`` checks the bounds of
+    signed entries, so a fixed layout index costs no reduction per call.
+    Backward scatters by assignment, or accumulates with ``np.add.at`` where
+    ``index`` repeats an entry.
     """
     try:
         n = t.data.shape[axis]
     except (IndexError, TypeError) as exc:
         raise ShapeError(f"gather_rows axis {axis!r} invalid for shape {t.shape}") from exc
     axis = axis % t.data.ndim
-    idx = np.asarray(index)
-    if idx.size:
-        if idx.dtype.kind not in "iu":
-            raise ShapeError(f"gather_rows index must hold integers, got dtype {idx.dtype}")
-        lo, hi = idx.min(), idx.max()
-        if lo < -n or hi >= n:
-            raise ShapeError(f"gather_rows index {lo}..{hi} outside [{-n}, {n}) "
-                             f"on axis {axis} of shape {t.shape}")
-        if lo < 0:
-            idx = np.where(idx < 0, idx + n, idx)
-    idx = idx.astype(np.intp, copy=False)
-    data = np.take(t.data, idx, axis=axis)
+    given = np.asarray(index)
+    if given.size and given.dtype.kind not in "iu":
+        raise ShapeError(f"gather_rows index must hold integers, got dtype {given.dtype}")
+    try:
+        if given.dtype.kind == "u" and given.size and given.max() >= n:
+            raise IndexError  # cast to intp, 2**64 - 1 would wrap to -1
+        idx = given.astype(np.intp, copy=False)
+        data = t.data.take(idx, axis=axis)
+    except IndexError as exc:
+        raise ShapeError(f"gather_rows index {given.min()}..{given.max()} outside [{-n}, {n}) "
+                         f"on axis {axis} of shape {t.shape}") from exc
     if not _tracked((t,)):
         return _make_op(data, (), None, "gather_rows")
+    if idx.size and idx.min() < 0:  # the repeat count below needs entries in [0, n)
+        idx = np.where(idx < 0, idx + n, idx)
     node, source = t._node, t.data.shape
 
     def backward_fn(g):
@@ -658,9 +661,10 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
-    mu = t.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce, then / d: the ufunc calls ndarray.mean makes, without its wrapper
+    mu = np.add.reduce(t.data, axis=-1, keepdims=True) / d
     centered = t.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     _ensure_finite(var, "layer_norm variance")
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
@@ -681,8 +685,8 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gx = g * gamma_data
             gt._accum_grad(kept_inv_std * (
                 gx
-                - gx.mean(axis=-1, keepdims=True)
-                - kept_xhat * (gx * kept_xhat).mean(axis=-1, keepdims=True)))
+                - np.add.reduce(gx, axis=-1, keepdims=True) / d
+                - kept_xhat * (np.add.reduce(gx * kept_xhat, axis=-1, keepdims=True) / d)))
 
     return _make_op(data, (t, gamma, beta), backward_fn, "layer_norm")
 

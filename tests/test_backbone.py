@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import io
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from petl_lab import (GeometryError, ModelConfig, PETLSpec, ShapeError, Tensor, build_model,
-                      build_swin_bapat, freeze_backbone, grad_check, load_checkpoint,
-                      patch_embed, read_checkpoint, save_checkpoint)
+from petl_lab import (SWIN_MICRO, GeometryError, ModelConfig, PETLSpec, ShapeError, Tensor,
+                      build_model, build_swin_bapat, freeze_backbone, grad_check,
+                      load_checkpoint, patch_embed, read_checkpoint, save_checkpoint)
 from petl_lab import checkpoint
 from petl_lab import tensor as T
 from petl_lab.backbone import (SWIN_B, WindowLayout, swin_block, window_attention,
@@ -321,6 +322,36 @@ def test_forward_deterministic_bitwise(rng):
     a = model.forward(clip).data
     b = model.forward(clip).data
     assert a.tobytes() == b.tobytes()
+
+
+# The 169 ops one no-grad single-clip forward of micro Swin-BAPAT makes, by
+# name: a change that adds or removes an op updates this on purpose.
+MICRO_SWIN_BAPAT_OPS = {"add": 25, "attention": 5, "gather_rows": 28, "layer_norm": 15,
+                        "linear": 32, "matmul": 18, "mlp": 5, "mul": 16, "relu": 5,
+                        "reshape": 9, "sum": 1, "tanh": 5, "transpose": 5}
+
+
+def test_single_clip_forward_op_budget(monkeypatch):
+    model = build_swin_bapat(SWIN_MICRO)
+    clip = np.random.default_rng(47).normal(size=(*SWIN_MICRO.input_size, 3))
+    ops = collections.Counter()
+    original = T._make_op
+
+    def make_op(data, parents, backward_fn, op):
+        ops[op] += 1
+        return original(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(T, "_make_op", make_op)
+    with T.no_grad():
+        model.forward(clip)
+    assert ops == MICRO_SWIN_BAPAT_OPS
+
+
+def test_merge_indices_are_built_on_first_forward(rng):
+    model = build_model(TINY, seed=5)
+    assert model._merge_indices == {}
+    model.forward(random_clip(rng, TINY))
+    assert set(model._merge_indices) == set(TINY.stage_grids()[:-1])
 
 
 def test_forward_matches_independent_reimplementation(rng):

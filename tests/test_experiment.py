@@ -194,6 +194,21 @@ FULL = {
 NULLABLE = {("output_dir",), ("petl", "d_middle")}
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_loaders_parse_alike(tmp_path, monkeypatch):
+    good = write_config(tmp_path, FULL)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("schema_version: 1\nmodel: [unclosed\nseed: 3\n")
+    seen = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(experiment, "_YAML_LOADER", loader)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(broken)
+        seen.append((parse_config(good), re.search(r"at line \d+, column \d+", str(exc.value))[0]))
+    assert seen[0] == seen[1]
+    assert seen[0][1] == "at line 3, column 5"
+
+
 def scalar_leaves(node, path=()):
     """(path, value) of every scalar in a nested config, list entries included."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

@@ -16,7 +16,7 @@ from petl_lab import tensor as T
 from petl_lab import experiment, harness
 from petl_lab.harness import SyntheticVideoDataset, _batch_loss, make_optimizer
 
-from conftest import TINY, nan_add
+from conftest import NANO, TINY, nan_add
 
 
 # -- synthetic dataset ------------------------------------------------------------
@@ -500,6 +500,88 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
     assert corrupted > 1e-2, f"fault injection went undetected: {corrupted:.3e}"
 
 
+# -- backward-rule mutation matrix ----------------------------------------------------
+
+# Every op name tensor.py records. Each must be recorded by some point below,
+# and a rule of that name scaling its incoming gradient must fail grad_check.
+MUTATED_OPS = ("add", "attention", "broadcast_to", "concat", "gather_rows", "layer_norm",
+               "linear", "log_softmax", "matmul", "mlp", "mul", "relu", "reshape", "sum",
+               "tanh", "transpose")
+
+
+def _nano_inserts():
+    """NANO with all four mechanisms, every insert redrawn off its zero init."""
+    spec = PETLSpec(mechanisms=("prefix", "adapter_parallel", "prompt", "patt"),
+                    d_bottle=1, d_token=1, d_prompt=1, d_middle=1,
+                    patt_sites=("Q", "K", "V"), tune_head=False)
+    model = build_model(NANO, seed=41)
+    attach_petl(model, spec, seed=42)
+    freeze_backbone(model, spec)
+    r = np.random.default_rng(43)
+    for p in model.registry.trainable():
+        p.tensor.data[...] = r.normal(scale=0.1, size=p.shape)
+    return model
+
+
+def _nano_bias_tables():
+    """NANO with only the relative-position bias tables trainable: records ``transpose``."""
+    model = build_model(NANO, seed=44)
+    for p in model.registry:
+        p.tensor.requires_grad = p.path.endswith(".attn.bias_table")
+    return model
+
+
+MUTATION_POINTS = (_nano_inserts, _nano_bias_tables)
+
+
+def _mutation_batch():
+    ds = make_dataset(NANO.num_classes, 1, NANO.input_size, seed=45)
+    return ds.clips[:1], ds.labels[:1]
+
+
+def _recorded_ops(build, clips, labels, monkeypatch):
+    """Names of the ops a training loss on ``build()`` records for backward."""
+    recorded = set()
+    original = T._make_op
+
+    def make_op(data, parents, backward_fn, op):
+        out = original(data, parents, backward_fn, op)
+        if out.requires_grad:
+            recorded.add(op)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "_make_op", make_op)
+        _batch_loss(build(), clips, labels)
+    return recorded
+
+
+@pytest.mark.parametrize("build", MUTATION_POINTS, ids=lambda b: b.__name__.lstrip("_"))
+def test_mutation_points_pass_unmutated(build):
+    assert grad_check(build(), *_mutation_batch(), eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("op", MUTATED_OPS)
+def test_backward_rule_mutation_is_caught(op, monkeypatch):
+    clips, labels = _mutation_batch()
+    points = [b for b in MUTATION_POINTS if op in _recorded_ops(b, clips, labels, monkeypatch)]
+    assert points, f"no mutation point records '{op}'"
+    original = T._make_op
+
+    def make_op(data, parents, backward_fn, name):
+        if name == op and backward_fn is not None:
+            rule = backward_fn
+
+            def backward_fn(g):
+                rule(g * 1.25)  # wrong by 25%
+
+        return original(data, parents, backward_fn, name)
+
+    monkeypatch.setattr(T, "_make_op", make_op)
+    errors = [grad_check(build(), clips, labels, eps=1e-5) for build in points]
+    assert max(errors) > 1e-2, f"mutated '{op}' rule went undetected: {errors}"
+
+
 # -- bad labels and empty batches ----------------------------------------------------
 
 
@@ -540,6 +622,17 @@ BAD_BATCHES = {
 def test_bad_labels_and_empty_batches_raise_typed_errors(case):
     with pytest.raises(PETLLabError):
         BAD_BATCHES[case]()
+
+
+def test_cross_entropy_takes_uint64_labels_like_int64():
+    logits = np.random.default_rng(46).normal(size=(3, 4))
+    results = []
+    for dtype in (np.int64, np.uint64):
+        x = Tensor(logits, requires_grad=True)
+        loss = cross_entropy(x, np.array([0, 1, 3], dtype=dtype))
+        loss.backward()
+        results.append((loss.data.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 # -- the clip-batch axis -------------------------------------------------------------

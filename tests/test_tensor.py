@@ -525,9 +525,12 @@ def test_transpose_negative_axes_and_bad_permutations(rng):
 
 def test_gather_rows_validates_and_wraps_indices(rng):
     x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-    for bad in [[0, 4], [-5, 1], [1.7], [True, False, True, False]]:
+    for bad in [[0, 4], [-5, 1], [1.7], [True, False, True, False],
+                np.array([2**64 - 1], dtype=np.uint64), np.array([4], dtype=np.uint8)]:
         with pytest.raises(ShapeError):
             T.gather_rows(x, bad, axis=1)
+    unsigned = T.gather_rows(x, np.array([3, 0, 3], dtype=np.uint16), axis=1)
+    assert np.array_equal(unsigned.data, T.gather_rows(x, np.array([3, 0, 3]), axis=1).data)
     # -1 and 3 name the same row: it repeats, so its gradients must add
     index = [-1, 3, 0]
     y = T.gather_rows(x, index, axis=1)
