@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, GeometryError, ShapeError
+from .errors import ConfigError, GeometryError
 from .registry import ParameterRegistry, allocate, backbone_parameter_plan
 from .tensor import Tensor
 
@@ -199,10 +199,11 @@ class WindowLayout:
 class AttentionExtras:
     """Per-block attention modifications supplied by fine-tuning hooks.
 
-    ``extra_k`` / ``extra_v`` are learnable (n_extra, d) rows prepended to
-    every window's keys/values (token-dimension concat), shared by all
-    windows and clips. ``add_q/k/v`` are full-grid (..., N, d) additive
-    corrections, already scaled, gathered per window alongside the tokens.
+    ``extra_k`` / ``extra_v`` are learnable (n_extra, d) rows that
+    :func:`~petl_lab.tensor.attention` prepends to every window's
+    keys/values, shared by all windows and clips and carrying no bias.
+    ``add_q/k/v`` are full-grid (..., N, d) additive corrections, already
+    scaled, gathered per window alongside the tokens.
     """
 
     extra_k: Tensor | None = None
@@ -225,18 +226,18 @@ def window_attention(x: Tensor, w: dict[str, Tensor],
     tokens each. ``w`` holds the block's weights by plan name; the width of
     ``w["attn.bias_table"]`` is the head count. Per head the projected
     queries attend over the projected keys/values, scaled by the inverse
-    square root of the head dimension, plus ``bias``, which broadcasts to
-    (..., n_heads, n, n): a (G, n_heads, n, n) bias serves every clip of a
-    (B, G) lead. ``add_q/k/v`` have the
-    shape of ``x``. The (n_extra, d) ``extra_k``/``extra_v`` rows are
-    prepended to the keys/values of every window and carry no position bias.
-    Returns (..., n, d) after the output projection.
+    square root of the head dimension, plus ``bias``, which is in the bias
+    table's layout and broadcasts to (..., n, n, n_heads): a
+    (G, n, n, n_heads) bias serves every clip of a (B, G) lead. ``add_q/k/v``
+    have the shape of ``x``. The (n_extra, d) ``extra_k``/``extra_v`` rows
+    are prepended to the keys/values of every window and carry no position
+    bias. Returns (..., n, d) after the output projection.
 
     The projections are :func:`~petl_lab.tensor.linear` ops; everything from
-    the head split to the head merge is one :func:`~petl_lab.tensor.attention`
-    op, which keeps only the softmax output for backward.
+    the shared rows and the head split to the head merge is one
+    :func:`~petl_lab.tensor.attention` op, which keeps only the softmax
+    output for backward.
     """
-    *lead, n, d = x.data.shape
     heads = w["attn.bias_table"].data.shape[1]
 
     def project(weight: Tensor, offset: Tensor, add: Tensor | None) -> Tensor:
@@ -246,19 +247,7 @@ def window_attention(x: Tensor, w: dict[str, Tensor],
     q = project(w["attn.q.weight"], w["attn.q.bias"], add_q)
     k = project(w["attn.k.weight"], w["attn.k.bias"], add_k)
     v = project(w["attn.v.weight"], w["attn.v.bias"], add_v)
-
-    if extra_k is not None or extra_v is not None:
-        if extra_k is None or extra_v is None or extra_k.data.shape != extra_v.data.shape:
-            raise ShapeError("extra key/value rows must come in matching pairs")
-        n_extra = extra_k.data.shape[0]
-        if n_extra:
-            k = T.concat([T.broadcast_to(extra_k, (*lead, n_extra, d)), k], axis=-2)
-            v = T.concat([T.broadcast_to(extra_v, (*lead, n_extra, d)), v], axis=-2)
-            if bias is not None:
-                pad = Tensor(np.zeros((*bias.data.shape[:-1], n_extra)))
-                bias = T.concat([pad, bias], axis=-1)
-
-    merged = T.attention(q, k, v, bias, heads)
+    merged = T.attention(q, k, v, bias, heads, extra_k, extra_v)
     return T.linear(merged, w["attn.proj.weight"], w["attn.proj.bias"])
 
 
@@ -267,8 +256,9 @@ def _windowed_attention(tokens: Tensor, w: dict[str, Tensor], layout: WindowLayo
     """One batched :func:`window_attention` call per window group, back in raster order.
 
     ``tokens`` is (..., N, d). A group's (G, n) token indices are gathered
-    along the token axis, so each call runs on (..., G, n, d) and its bias
-    (G, heads, n, n) is shared by every clip. Returns (..., N, d).
+    along the token axis, so each call runs on (..., G, n, d) and its bias,
+    the (G, n, n, heads) rows of the bias table, is shared by every clip.
+    Returns (..., N, d).
     """
     extras = extras or AttentionExtras()
     table = w["attn.bias_table"]
@@ -278,7 +268,7 @@ def _windowed_attention(tokens: Tensor, w: dict[str, Tensor], layout: WindowLayo
         idx = group.tokens
         add_q, add_k, add_v = (None if t is None else T.gather_rows(t, idx, axis=-2)
                                for t in (extras.add_q, extras.add_k, extras.add_v))
-        bias = T.transpose(T.gather_rows(table, group.bias_index), (0, 3, 1, 2))
+        bias = T.gather_rows(table, group.bias_index)
         out = window_attention(T.gather_rows(tokens, idx, axis=-2), w, bias=bias,
                                extra_k=extras.extra_k, extra_v=extras.extra_v,
                                add_q=add_q, add_k=add_k, add_v=add_v)

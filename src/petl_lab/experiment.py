@@ -158,6 +158,9 @@ class ExperimentConfig:
     ablation: AblationAxes
     output_dir: str | None = None
 
+    def __post_init__(self):  # also checks a seed set by dataclasses.replace
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+
 
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = sorted(str(k) for k in set(section) - set(allowed))

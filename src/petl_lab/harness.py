@@ -56,6 +56,8 @@ def make_dataset(n_classes: int, per_class: int,
     """Generate ``n_classes * per_class`` moving-grating clips, channels last."""
     if n_classes < 1 or per_class < 1 or any(x < 1 for x in clip_shape):
         raise ConfigError("dataset sizes must be positive")
+    if seed < 0 or not noise >= 0.0:
+        raise ConfigError(f"dataset seed and noise must be >= 0, got {seed} and {noise}")
     t, h, w = clip_shape
     rng = np.random.default_rng(seed)
     ys = np.linspace(0.0, 1.0, h, endpoint=False)[:, None]
@@ -99,6 +101,11 @@ class OptimizerConfig:
             raise ConfigError("steps and batch size must be >= 1")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0 (0 evaluates only at the end)")
+        for name in ("beta1", "beta2", "momentum"):  # a factor of 1 divides by 1 - 1 in Adam
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
 
 
 class _Sgd:
@@ -336,6 +343,8 @@ def grad_check(model, clips: np.ndarray, labels: np.ndarray, eps: float = 1e-5) 
     parameter; a non-finite numeric gradient returns ``math.inf`` at that
     entry.
     """
+    if not eps > 0.0:
+        raise ConfigError(f"gradient check eps must be > 0, got {eps}")
     clips = np.asarray(clips, dtype=np.float64)
     labels = np.asarray(labels)
     trainable = model.registry.trainable()

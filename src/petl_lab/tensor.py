@@ -32,8 +32,8 @@ it is recorded which arrays it reads, from which inputs require a gradient:
 * ``matmul`` and ``linear`` keep an operand only if the other one trains,
   and ``mul`` keeps the other operand only for a tracked side (a number
   factor stays a number);
-* ``add``, ``reshape``, ``transpose``, ``broadcast_to``, ``concat``,
-  ``gather_rows`` and ``tsum`` keep only shapes and indices;
+* ``add``, ``reshape``, ``concat``, ``gather_rows`` and ``tsum`` keep only
+  shapes and indices;
 * ``relu`` keeps a boolean mask, ``tanh`` its output, ``log_softmax`` its
   softmax, and ``layer_norm`` the normalized input, plus the inverse
   deviation and gamma if its input trains.
@@ -56,11 +56,12 @@ exactly where the per-op checks would have raised. The op-by-op reference
 graphs live in the tests, built on the softmax and GELU kernels these ops
 run, so each formula has one copy:
 
-* :func:`attention` (multi-head scaled dot-product attention) keeps the
-  softmax output, and q, k and v as views only where a gradient reads them.
-  It checks the biased logits (finite there means the product, its scaling
-  and the bias were finite, and a softmax of finite logits lies in [0, 1])
-  and, outside a scope, its output.
+* :func:`attention` (multi-head scaled dot-product attention, with the
+  bias in the bias table's layout and the key/value rows that every window
+  shares) keeps the softmax output, and q, k and v as views only where a
+  gradient reads them. It checks the biased logits (finite there means the
+  product, its scaling and the bias were finite, and a softmax of finite
+  logits lies in [0, 1]) and, outside a scope, its output.
 * :func:`mlp` (linear, exact GELU, linear) keeps the GELU derivative,
   computed in forward only when a gradient flows below the GELU, and the
   GELU output only if the second weight requires a gradient. It checks the
@@ -272,9 +273,9 @@ def _tracked(parents: Sequence[Tensor]) -> bool:
     return grad_enabled() and any(p.requires_grad for p in parents)
 
 
-def _wants(t: Tensor) -> _Node | None:
-    """The node a tracked op sends ``t``'s gradient to, or None."""
-    return t._node if t.requires_grad else None
+def _wants(t: Tensor | None) -> _Node | None:
+    """The node a tracked op sends ``t``'s gradient to, or None (also for no ``t``)."""
+    return t._node if t is not None and t.requires_grad else None
 
 
 def _make_op(data: np.ndarray, parents: Sequence[Tensor],
@@ -410,7 +411,7 @@ def _affine_rule(x: Tensor, weight: Tensor, bias: Tensor | None) -> Callable[[np
     if ``x`` does; the bias contributes its shape.
     """
     gx, gw = _wants(x), _wants(weight)
-    gb = None if bias is None else _wants(bias)
+    gb = _wants(bias)
     sx, sw = x.data.shape, weight.data.shape
     sb = None if bias is None else bias.data.shape
     x_data = x.data if gw is not None else None
@@ -469,45 +470,6 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
         node._accum_grad(g.reshape(source))
 
     return _make_op(data, (t,), backward_fn, "reshape")
-
-
-def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
-    """Permute axes; entries of ``axes`` may be negative (numpy semantics).
-
-    ``axes`` that are not a permutation of the axes raise
-    :class:`~petl_lab.errors.ShapeError`.
-    """
-    ndim = t.data.ndim
-    given = tuple(axes)
-    axes = tuple(int(a) % ndim if -ndim <= a < ndim else -1 for a in given)
-    if sorted(axes) != list(range(ndim)):
-        raise ShapeError(f"transpose axes {given} are not a permutation of the axes of {t.shape}")
-    data = t.data.transpose(axes)
-    if not _tracked((t,)):
-        return _make_op(data, (), None, "transpose")
-    inverse = tuple(np.argsort(axes))
-    node = t._node
-
-    def backward_fn(g):
-        node._accum_grad(g.transpose(inverse))
-
-    return _make_op(data, (t,), backward_fn, "transpose")
-
-
-def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
-    """Repeat ``t`` along new or unit axes to ``shape`` (numpy broadcasting)."""
-    try:
-        data = np.broadcast_to(t.data, tuple(shape))
-    except ValueError as exc:
-        raise ShapeError(f"broadcast_to of shape {t.shape} to {tuple(shape)}: {exc}") from exc
-    if not _tracked((t,)):
-        return _make_op(data, (), None, "broadcast_to")
-    node, source = t._node, t.data.shape
-
-    def backward_fn(g):
-        node._accum_grad(_unbroadcast(g, source))
-
-    return _make_op(data, (t,), backward_fn, "broadcast_to")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -783,23 +745,28 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     return _make_op(data, (x, w1, b1, w2, b2), backward_fn, "mlp")
 
 
-def attention(q, k, v, bias, heads: int) -> Tensor:
+def attention(q, k, v, bias, heads: int, extra_k=None, extra_v=None) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
 
     ``q`` is (..., n, d) and ``k``/``v`` are (..., m, d); the last axis
-    splits into ``heads`` heads of ``d / heads`` channels. Per head the
-    output is ``softmax(q k^T / sqrt(d / heads) + bias) v``, with the heads
-    merged back into (..., n, d). ``bias`` is None or broadcasts to
-    (..., heads, n, m) without enlarging it.
+    splits into ``heads`` heads of ``d / heads`` channels. ``extra_k`` and
+    ``extra_v`` are None or a matching pair of (r, d) rows, prepended to the
+    keys and values of every lead. Per head the output is
+    ``softmax(q k^T / sqrt(d / heads) + bias) v`` over the r + m keys, with
+    the heads merged back into (..., n, d). ``bias`` is None or in the bias
+    table's layout, broadcasting to (..., n, m, heads) without enlarging it;
+    it biases the m own keys, and the shared rows get none.
 
-    Output and gradients equal the op-by-op form (reshape and transpose of
-    q, k and v, matmul, scale, bias add, softmax, matmul, merge) bit for bit.
-    The graph keeps the softmax output and, as views, q only if k requires a
-    gradient, k only if q does, and v only if q, k or the bias does. The
-    biased logits are checked for finite values, as every op's output is
-    outside a scope: finite biased logits mean the product, the scaled
-    product and the bias were finite, and a softmax of finite logits lies in
-    [0, 1].
+    Output and gradients equal the op-by-op form (broadcast and concat of the
+    rows, a zero bias pad, reshape and transpose of q, k, v and the bias,
+    matmul, scale, bias add, softmax, matmul, merge) bit for bit. The graph
+    keeps the softmax output and, as views, q only if the keys or rows
+    require a gradient, the keys only if q does, and the values only if q,
+    the keys, the rows or the bias does; with rows, it keeps the keys and
+    values as their concatenation with the rows. The biased logits are
+    checked for finite values, as every op's output is outside a scope:
+    finite biased logits mean the product, the scaled product and the bias
+    were finite, and a softmax of finite logits lies in [0, 1].
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim < 2:
@@ -811,42 +778,65 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
     if k.data.shape != v.data.shape or k.data.shape != (*lead, m, d):
         raise ShapeError(f"attention keys {k.shape} and values {v.shape} do not match "
                          f"queries {q.shape}")
+    if extra_k is not None or extra_v is not None:
+        if extra_k is None or extra_v is None or extra_k.data.shape != extra_v.data.shape:
+            raise ShapeError("extra key/value rows must come in matching pairs")
+        if extra_k.data.ndim != 2 or extra_k.data.shape[1] != d:
+            raise ShapeError(f"extra key/value rows {extra_k.shape} are not (r, {d})")
+    r = 0 if extra_k is None else extra_k.data.shape[0]
+    k_all, v_all = k.data, v.data
+    if r:
+        k_all = np.concatenate([np.broadcast_to(extra_k.data, (*lead, r, d)), k_all], axis=-2)
+        v_all = np.concatenate([np.broadcast_to(extra_v.data, (*lead, r, d)), v_all], axis=-2)
+    else:  # zero rows attach nothing
+        extra_k = extra_v = None
     hd = d // heads
     scale = 1.0 / math.sqrt(hd)
     b = len(lead)
     split = (*range(b), b + 1, b, b + 2)  # (..., rows, heads, hd) <-> (..., heads, rows, hd)
     k_split = (*range(b), b + 1, b + 2, b)  # (..., m, heads, hd) -> (..., heads, hd, m)
     qh = q.data.reshape(*lead, n, heads, hd).transpose(split)
-    kh = k.data.reshape(*lead, m, heads, hd).transpose(k_split)
-    vh = v.data.reshape(*lead, m, heads, hd).transpose(split)
+    kh = k_all.reshape(*lead, r + m, heads, hd).transpose(k_split)
+    vh = v_all.reshape(*lead, r + m, heads, hd).transpose(split)
 
     logits = _product(qh, kh)
     logits *= scale
-    parents = (q, k, v)
     if bias is not None:
         bias = _as_tensor(bias)
-        parents = (q, k, bias, v)  # the op-by-op graph's visiting order
-        try:
-            logits += bias.data
+        c = bias.data.ndim  # the table layout (..., n, m, heads) -> (..., heads, n, m)
+        try:  # fewer than three axes do not transpose
+            bias_h = bias.data.transpose(*range(c - 3), c - 1, c - 3, c - 2)
+            logits[..., r:] += bias_h
         except ValueError as exc:
             raise ShapeError(f"attention bias {bias.shape} does not broadcast to "
-                             f"{logits.shape}") from exc
+                             f"{(*lead, n, m, heads)}") from exc
     _ensure_finite(logits, "attention logits")
     att = _softmax(logits, -1)
     data = _product(att, vh).transpose(split).reshape(*lead, n, d)
+    parents = tuple(t for t in (q, extra_k, k, bias, extra_v, v)  # the op-by-op visiting order
+                    if t is not None)
     if not _tracked(parents):
         return _make_op(data, (), None, "attention")
 
-    g_q, g_k, g_v = _wants(q), _wants(k), _wants(v)
-    g_bias = None if bias is None else _wants(bias)
-    k_merge = (*range(b), b + 2, b, b + 1)
-    to_logits = g_q is not None or g_k is not None or g_bias is not None
-    kept_qh = qh if g_k is not None else None
+    g_q, g_k, g_v, g_bias = _wants(q), _wants(k), _wants(v), _wants(bias)
+    g_rk, g_rv = _wants(extra_k), _wants(extra_v)
+    keys_train = g_k is not None or g_rk is not None
+    to_logits = g_q is not None or keys_train or g_bias is not None
+    kept_qh = qh if keys_train else None
     kept_kh = kh if g_q is not None else None
     kept_vh = vh if to_logits else None
-    s_q, s_k, s_v = q.data.shape, k.data.shape, v.data.shape
+    s_q, s_all = q.data.shape, (*lead, r + m, d)
     s_qh, s_kh, s_vh = qh.shape, kh.shape, vh.shape
-    s_bias = None if bias is None else bias.data.shape
+    s_bias_h, from_heads = ((None, None) if g_bias is None
+                            else (bias_h.shape, (*range(c - 3), c - 2, c - 1, c - 3)))
+    k_merge = (*range(b), b + 2, b, b + 1)
+
+    def to_inputs(g_all, own, shared):
+        """Send the (..., r + m, d) gradient of the keys or values to its two sources."""
+        if shared is not None:
+            shared._accum_grad(_unbroadcast(g_all[..., :r, :], (r, d)))
+        if own is not None:
+            own._accum_grad(g_all[..., r:, :])
 
     def backward_fn(g):
         # the merge undone, into the C-contiguous copy the op-by-op graph fed its matmuls
@@ -854,16 +844,17 @@ def attention(q, k, v, bias, heads: int) -> Tensor:
         if to_logits:
             g_logits = _softmax_backward(_left_grad(g_out, kept_vh, att.shape), att, -1)
             if g_bias is not None:
-                g_bias._accum_grad(_unbroadcast(g_logits, s_bias))
+                g_bias._accum_grad(
+                    _unbroadcast(g_logits[..., r:], s_bias_h).transpose(from_heads))
             g_prod = g_logits * scale
         if g_q is not None:
             g_qh = _left_grad(g_prod, kept_kh, s_qh)
             g_q._accum_grad(g_qh.transpose(split).reshape(s_q))
-        if g_k is not None:
+        if keys_train:
             g_kh = _right_grad(kept_qh, g_prod, s_kh)
-            g_k._accum_grad(g_kh.transpose(k_merge).reshape(s_k))
-        if g_v is not None:
+            to_inputs(g_kh.transpose(k_merge).reshape(s_all), g_k, g_rk)
+        if g_v is not None or g_rv is not None:
             g_vh = _right_grad(att, g_out, s_vh)
-            g_v._accum_grad(g_vh.transpose(split).reshape(s_v))
+            to_inputs(g_vh.transpose(split).reshape(s_all), g_v, g_rv)
 
     return _make_op(data, parents, backward_fn, "attention")

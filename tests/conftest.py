@@ -52,6 +52,11 @@ class FixedRows:
         return out
 
 
+# Graph ops of the tests, made with ``T._make_op`` as the engine makes its own:
+# a fault-injecting ``add``, and the ``transpose`` and ``broadcast_to`` that the
+# op-by-op reference graphs and probes are built from.
+
+
 def nan_add(a, b):
     """``T.add`` with every backward contribution multiplied by NaN."""
     a, b = T._as_tensor(a), T._as_tensor(b)
@@ -62,3 +67,25 @@ def nan_add(a, b):
                 t._accum_grad(T._unbroadcast(g, t.data.shape) * np.nan)
 
     return T._make_op(a.data + b.data, (a, b), backward_fn, "add")
+
+
+def transpose(t, axes):
+    """Permute the axes of ``t`` as a graph op of its own; ``axes`` may be negative."""
+    axes = tuple(a % t.data.ndim for a in axes)
+    inverse = tuple(np.argsort(axes))
+    node = t._node
+
+    def backward_fn(g):
+        node._accum_grad(g.transpose(inverse))
+
+    return T._make_op(t.data.transpose(axes), (t,), backward_fn, "transpose")
+
+
+def broadcast_to(t, shape):
+    """Repeat ``t`` along new or unit axes to ``shape``, as a graph op of its own."""
+    node, source = t._node, t.data.shape
+
+    def backward_fn(g):
+        node._accum_grad(T._unbroadcast(g, source))
+
+    return T._make_op(np.broadcast_to(t.data, tuple(shape)), (t,), backward_fn, "broadcast_to")

@@ -815,6 +815,31 @@ def test_cli_seed_overrides_config_seed(tmp_path):
     assert [r.seed for r in rows] == [5, 6]
 
 
+@pytest.mark.parametrize("verb", ["run", "gradcheck"])
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, verb, spelling):
+    raw = make_config(model={"dims": [2, 2, 4, 4], "heads": [1, 1, 2, 2]},
+                      **({"seed": -5} if spelling == "config" else {}))
+    argv = [verb, "--config", str(write_config(tmp_path, raw)), "--quiet"]
+    if verb == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli_main(argv + (["--seed", "-1"] if spelling == "flag" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("beta1", 1.0), ("beta2", 1.5), ("momentum", -3.0),
+                                       ("eps", 0.0)], ids=["beta1", "beta2", "momentum", "eps"])
+def test_cli_optimizer_setting_out_of_range_is_a_config_error(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, make_config(optimizer={key: value}))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_gradcheck_exit_codes(tmp_path, capsys):
     raw = make_config(model={"dims": [2, 2, 4, 4], "heads": [1, 1, 2, 2]},
                       petl={"mechanisms": ["patt"], "d_bottle": 2})

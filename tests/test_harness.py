@@ -16,7 +16,7 @@ from petl_lab import tensor as T
 from petl_lab import experiment, harness
 from petl_lab.harness import SyntheticVideoDataset, _batch_loss, make_optimizer
 
-from conftest import NANO, TINY, nan_add
+from conftest import NANO, TINY, broadcast_to, nan_add
 
 
 # -- synthetic dataset ------------------------------------------------------------
@@ -59,6 +59,16 @@ def test_dataset_balance_and_shapes():
 def test_dataset_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         make_dataset(0, 4, (4, 8, 8), seed=0)
+
+
+def test_dataset_rejects_negative_noise():
+    with pytest.raises(ConfigError, match="noise"):
+        make_dataset(2, 1, (4, 8, 8), seed=0, noise=-1.0)
+
+
+def test_dataset_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        make_dataset(2, 1, (4, 8, 8), seed=-1)
 
 
 def motion_features(clip):
@@ -265,7 +275,7 @@ class OverflowProbe:
 
     def forward(self, clips):
         """Clips (B, ...) to logits (B, n_classes)."""
-        rows = T.broadcast_to(self.scale, (len(clips), self.scale.size))
+        rows = broadcast_to(self.scale, (len(clips), self.scale.size))
         return T.add(T.mul(T.mul(rows, 1e200), 1e200), self.bias)
 
     def zero_grads(self):
@@ -458,6 +468,12 @@ def test_grad_check_reports_its_worst_entry(monkeypatch):
     assert math.isnan(err.numeric)
 
 
+def test_grad_check_rejects_a_step_that_is_not_positive():
+    model = LinearProbe(6, 3, seed=16)
+    with pytest.raises(ConfigError, match="eps"):
+        grad_check(model, np.zeros((1, 6)), np.array([0]), eps=0.0)
+
+
 def test_grad_check_param_limit():
     model = LinearProbe(60_000, 3, seed=14)
     with pytest.raises(ConfigError):
@@ -504,9 +520,8 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
 
 # Every op name tensor.py records. Each must be recorded by some point below,
 # and a rule of that name scaling its incoming gradient must fail grad_check.
-MUTATED_OPS = ("add", "attention", "broadcast_to", "concat", "gather_rows", "layer_norm",
-               "linear", "log_softmax", "matmul", "mlp", "mul", "relu", "reshape", "sum",
-               "tanh", "transpose")
+MUTATED_OPS = ("add", "attention", "concat", "gather_rows", "layer_norm", "linear",
+               "log_softmax", "matmul", "mlp", "mul", "relu", "reshape", "sum", "tanh")
 
 
 def _nano_inserts():
@@ -524,7 +539,8 @@ def _nano_inserts():
 
 
 def _nano_bias_tables():
-    """NANO with only the relative-position bias tables trainable: records ``transpose``."""
+    """NANO with only the relative-position bias tables trainable: the table-layout
+    bias gradient of ``attention`` reaches the tables through ``gather_rows`` alone."""
     model = build_model(NANO, seed=44)
     for p in model.registry:
         p.tensor.requires_grad = p.path.endswith(".attn.bias_table")

@@ -15,6 +15,8 @@ from hypothesis.extra import numpy as hnp
 from petl_lab import NonFiniteError, ShapeError, StaleGraphError, Tensor
 from petl_lab import tensor as T
 
+from conftest import broadcast_to, transpose
+
 
 def numeric_grad(f, tensors, eps=1e-5):
     """Central differences of a scalar-valued builder over leaf tensors."""
@@ -261,7 +263,7 @@ def test_per_op_gradients(case, rng):
     bias = Tensor(rng.normal(size=2), requires_grad=True)
     keys = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
     values = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-    att_bias = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)  # (heads, n, m)
+    att_bias = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)  # (n, m, heads)
     w1 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     b1 = Tensor(rng.normal(size=5), requires_grad=True)
     w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
@@ -276,7 +278,7 @@ def test_per_op_gradients(case, rng):
         "matmul_batched": (lambda: T.tsum(T.mul(T.matmul(batched, m2),
                                                 T.matmul(batched, m2))), [batched, m2]),
         "reshape": (lambda: T.tsum(T.mul(T.reshape(a, (2, 12)), T.reshape(a, (2, 12)))), [a]),
-        "transpose": (lambda: T.tsum(T.mul(T.transpose(a, (1, 0)), T.transpose(b, (1, 0)))),
+        "transpose": (lambda: T.tsum(T.mul(transpose(a, (1, 0)), transpose(b, (1, 0)))),
                       [a, b]),
         "concat": (lambda: T.tsum(T.mul(T.concat([a, b], axis=0), T.concat([b, a], axis=0))),
                    [a, b]),
@@ -290,12 +292,12 @@ def test_per_op_gradients(case, rng):
         "relu": (lambda: T.tsum(T.mul(T.relu(T.mul(pos, Tensor(sign))), weight)), [pos]),
         "gelu": (lambda: T.tsum(T.mul(gelu(a), weight)), [a]),
         "tanh": (lambda: T.tsum(T.mul(T.tanh(a), weight)), [a]),
-        "broadcast_to": (lambda: T.tsum(T.mul(T.broadcast_to(row, (2, 4, 6)),
-                                              T.broadcast_to(a, (2, 4, 6)))), [row, a]),
+        "broadcast_to": (lambda: T.tsum(T.mul(broadcast_to(row, (2, 4, 6)),
+                                              broadcast_to(a, (2, 4, 6)))), [row, a]),
         "gather_axis": (lambda: T.tsum(T.mul(T.gather_rows(batched, window_idx, axis=-2),
                                              T.gather_rows(batched, window_idx, axis=-2))),
                         [batched]),
-        "transpose_negative": (lambda: T.tsum(T.mul(T.transpose(cube, (-1, 0, 1)),
+        "transpose_negative": (lambda: T.tsum(T.mul(transpose(cube, (-1, 0, 1)),
                                                     cube_weight)), [cube]),
         "linear": (lambda: T.tsum(T.mul(T.linear(batched, m2, bias),
                                         T.linear(batched, m2, bias))), [batched, m2, bias]),
@@ -376,7 +378,7 @@ def test_broadcast_to_gradients_property(data, target, seed):
     source = leaf(rng, data.draw(broadcast_source(target), label="source"))
     weight = Tensor(rng.normal(size=target))
     assert_grads_match_central_differences(
-        lambda: T.tsum(T.mul(T.broadcast_to(source, target), weight)), [source])
+        lambda: T.tsum(T.mul(broadcast_to(source, target), weight)), [source])
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,7 +425,7 @@ def test_transpose_gradients_on_random_permutations_property(data, shape, seed):
     axes = [a - ndim if data.draw(st.booleans(), label="negative") else a for a in perm]
     x = leaf(rng, shape)
     assert_grads_match_central_differences(
-        weighted_sum(lambda: T.transpose(x, axes), rng), [x])
+        weighted_sum(lambda: transpose(x, axes), rng), [x])
 
 
 @settings(max_examples=40, deadline=None)
@@ -486,18 +488,22 @@ def test_relu_and_tanh_gradients_property(op, shape, seed):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=2),
        n=st.integers(1, 3), m=st.integers(1, 3), heads=st.integers(1, 2),
-       hd=st.integers(1, 2), seed=SEEDS)
-def test_attention_gradients_property(data, lead, n, m, heads, hd, seed):
+       hd=st.integers(1, 2), r=st.integers(0, 2), seed=SEEDS)
+def test_attention_gradients_property(data, lead, n, m, heads, hd, r, seed):
     rng = np.random.default_rng(seed)
     d = heads * hd
     q, k, v = leaf(rng, (*lead, n, d)), leaf(rng, (*lead, m, d)), leaf(rng, (*lead, m, d))
     leaves = [q, k, v]
-    bias = None
+    bias = extra_k = extra_v = None
     if data.draw(st.booleans(), label="bias"):
-        bias = leaf(rng, data.draw(broadcast_source((*lead, heads, n, m)), label="bias shape"))
+        shape = data.draw(broadcast_source((*lead, n, m, heads)), label="bias shape")
+        bias = leaf(rng, (1,) * (3 - len(shape)) + shape)  # the table layout's three axes
         leaves.append(bias)
+    if r:
+        extra_k, extra_v = leaf(rng, (r, d)), leaf(rng, (r, d))
+        leaves += [extra_k, extra_v]
     assert_grads_match_central_differences(
-        weighted_sum(lambda: T.attention(q, k, v, bias, heads), rng), leaves)
+        weighted_sum(lambda: T.attention(q, k, v, bias, heads, extra_k, extra_v), rng), leaves)
 
 
 @settings(max_examples=25, deadline=None)
@@ -509,18 +515,6 @@ def test_mlp_gradients_property(lead, n, d_in, hidden, d_out, seed):
     leaves = [leaf(rng, s) for s in ((*lead, n, d_in), (d_in, hidden), (hidden,),
                                      (hidden, d_out), (d_out,))]
     assert_grads_match_central_differences(weighted_sum(lambda: T.mlp(*leaves), rng), leaves)
-
-
-def test_transpose_negative_axes_and_bad_permutations(rng):
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    w = rng.normal(size=(4, 2, 3))
-    y = T.transpose(x, (-1, 0, 1))
-    assert np.array_equal(y.data, x.data.transpose(2, 0, 1))
-    T.tsum(T.mul(y, Tensor(w))).backward()
-    assert np.array_equal(x.grad, w.transpose(1, 2, 0))
-    for axes in [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1, -4)]:
-        with pytest.raises(ShapeError):
-            T.transpose(x, axes)
 
 
 def test_gather_rows_validates_and_wraps_indices(rng):
@@ -574,19 +568,27 @@ def test_linear_rejects_bad_shapes():
 # -- fused attention and MLP ----------------------------------------------------
 
 
-def attention_op_by_op(q, k, v, bias, heads):
+def attention_op_by_op(q, k, v, bias, heads, extra_k=None, extra_v=None):
     """The op-by-op graph :func:`T.attention` replaces."""
     *lead, n, d = q.shape
+    r = 0 if extra_k is None else extra_k.shape[0]
+    if r:
+        k = T.concat([broadcast_to(extra_k, (*lead, r, d)), k], axis=-2)
+        v = T.concat([broadcast_to(extra_v, (*lead, r, d)), v], axis=-2)
     m, hd, b = k.shape[-2], d // heads, len(lead)
     heads_first = (*range(b), b + 1, b, b + 2)
-    qh = T.transpose(T.reshape(q, (*lead, n, heads, hd)), heads_first)
-    kh = T.transpose(T.reshape(k, (*lead, m, heads, hd)), (*range(b), b + 1, b + 2, b))
-    vh = T.transpose(T.reshape(v, (*lead, m, heads, hd)), heads_first)
+    qh = transpose(T.reshape(q, (*lead, n, heads, hd)), heads_first)
+    kh = transpose(T.reshape(k, (*lead, m, heads, hd)), (*range(b), b + 1, b + 2, b))
+    vh = transpose(T.reshape(v, (*lead, m, heads, hd)), heads_first)
     logits = T.mul(T.matmul(qh, kh), 1.0 / math.sqrt(hd))
     if bias is not None:
+        c = bias.data.ndim  # the table layout (..., n, m, heads) to (..., heads, n, m)
+        bias = transpose(bias, (*range(c - 3), c - 1, c - 3, c - 2))
+        if r:  # the shared rows get no bias
+            bias = T.concat([Tensor(np.zeros((*bias.shape[:-1], r))), bias], axis=-1)
         logits = T.add(logits, bias)
     out = T.matmul(softmax(logits, axis=-1), vh)
-    return T.reshape(T.transpose(out, heads_first), (*lead, n, d))
+    return T.reshape(transpose(out, heads_first), (*lead, n, d))
 
 
 def mlp_op_by_op(x, w1, b1, w2, b2):
@@ -616,10 +618,10 @@ def assert_fused_equals_op_by_op_bitwise(fused, reference, arrays):
 
 
 @pytest.mark.parametrize("lead,n,m,heads,bias_shape", [
-    ((), 4, 4, 2, (2, 4, 4)),
-    ((2, 3), 4, 4, 2, (3, 2, 4, 4)),   # (B, G) lead, one bias per window shared by clips
-    ((3,), 4, 6, 2, (3, 2, 4, 6)),     # two extra key/value rows
-    ((2, 3), 5, 7, 4, (3, 4, 5, 7)),
+    ((), 4, 4, 2, (4, 4, 2)),
+    ((2, 3), 4, 4, 2, (3, 4, 4, 2)),   # (B, G) lead, one bias per window shared by clips
+    ((3,), 4, 6, 2, (3, 4, 6, 2)),     # more keys than queries
+    ((2, 3), 5, 7, 4, (3, 5, 7, 4)),
     ((2,), 4, 5, 1, None),             # no bias
 ])
 def test_attention_equals_op_by_op_bitwise(lead, n, m, heads, bias_shape, rng):
@@ -629,6 +631,20 @@ def test_attention_equals_op_by_op_bitwise(lead, n, m, heads, bias_shape, rng):
     if bias_shape is not None:
         arrays.append(rng.normal(size=bias_shape))
     ops = [lambda q, k, v, bias=None, op=op: op(q, k, v, bias, heads)
+           for op in (T.attention, attention_op_by_op)]
+    assert_fused_equals_op_by_op_bitwise(*ops, arrays)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_attention_with_shared_rows_equals_op_by_op_bitwise(r, rng):
+    # a (B, G) lead, one table-layout bias per window shared by clips, and r
+    # rows shared by every window: broadcast, concat and a zero bias pad
+    lead, n, heads, d = (2, 3), 4, 2, 8
+    arrays = [rng.normal(size=(*lead, n, d)), rng.normal(size=(*lead, n, d)),
+              rng.normal(size=(*lead, n, d)), rng.normal(size=(3, n, n, heads)),
+              rng.normal(size=(r, d)), rng.normal(size=(r, d))]
+    ops = [lambda q, k, v, bias, extra_k, extra_v, op=op: op(q, k, v, bias, heads,
+                                                             extra_k, extra_v)
            for op in (T.attention, attention_op_by_op)]
     assert_fused_equals_op_by_op_bitwise(*ops, arrays)
 
@@ -661,7 +677,7 @@ def test_fused_ops_keep_only_what_backward_reads(rng):
     assert [a.shape for a in kept] == [(3, 8), (3, 8)]  # and the GELU output
 
     q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    bias = Tensor(rng.normal(size=(2, 3, 3)))
+    bias = Tensor(rng.normal(size=(3, 3, 2)))
     kept = saved_arrays(T.attention(q, q, q, bias, 2), [q, bias])
     assert [a.shape for a in kept] == [(2, 2, 3, 3)]  # the softmax alone; q, k, v as views
 
@@ -683,8 +699,6 @@ OP_CASES = {
     "linear": (T.linear, [(3, 4), (4, 5), (5,)], kept_when_tracked([(0, 1), (1, 0)]),
                False),
     "reshape": (lambda x: T.reshape(x, (4, 3)), [(3, 4)], KEEPS_NOTHING, False),
-    "transpose": (lambda x: T.transpose(x, (2, 0, 1)), [(2, 3, 4)], KEEPS_NOTHING, False),
-    "broadcast_to": (lambda x: T.broadcast_to(x, (3, 4)), [(1, 4)], KEEPS_NOTHING, False),
     "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)], KEEPS_NOTHING, False),
     "gather_rows": (lambda x: T.gather_rows(x, [0, 2, 2]), [(4, 3)], KEEPS_NOTHING, False),
     "tsum": (lambda x: T.tsum(x, axis=1), [(3, 4)], KEEPS_NOTHING, False),
@@ -696,8 +710,13 @@ OP_CASES = {
     "mlp": (T.mlp, [(3, 4), (4, 6), (6,), (6, 2), (2,)],
             kept_when_tracked([(0, 1), (1, 0), (3, 0), (3, 1), (3, 2)]), False),
     "attention": (lambda q, k, v, bias: T.attention(q, k, v, bias, 2),
-                  [(2, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 5)],
+                  [(2, 3, 4), (2, 5, 4), (2, 5, 4), (3, 5, 2)],
                   kept_when_tracked([(0, 1), (1, 0), (2, 0), (2, 1), (2, 3)]), False),
+    # with shared rows the keys and values are kept as their concatenation, a new array
+    "attention_rows": (lambda q, k, v, bias, extra_k, extra_v:
+                       T.attention(q, k, v, bias, 2, extra_k, extra_v),
+                       [(2, 3, 4), (2, 5, 4), (2, 5, 4), (3, 5, 2), (2, 4), (2, 4)],
+                       kept_when_tracked([(0, 1), (0, 4)]), False),
 }
 
 
@@ -744,7 +763,7 @@ def test_input_gradients_do_not_depend_on_which_other_inputs_train(name):
 
 def fault_cases():
     """(name, fused op, op-by-op form, finite inputs, input to spoil) per input."""
-    q, kv, bias = np.ones((2, 3, 4)), np.ones((2, 5, 4)), np.zeros((2, 3, 5))
+    q, kv, bias = np.ones((2, 3, 4)), np.ones((2, 5, 4)), np.zeros((3, 5, 2))
     x, w1, b1, w2, b2 = np.ones((3, 4)), np.ones((4, 6)), np.zeros(6), np.ones((6, 2)), np.zeros(2)
     att = [("attention", T.attention, attention_op_by_op, [q, kv, kv, bias], i)
            for i in range(4)]
@@ -786,8 +805,12 @@ def test_attention_rejects_bad_shapes():
     for args in [(q, kv, kv, None, 3),                      # 4 channels, 3 heads
                  (q, kv, Tensor(np.zeros((6, 4))), None, 2),  # keys and values differ
                  (q, Tensor(np.zeros((5, 2))), Tensor(np.zeros((5, 2))), None, 2),
-                 (q, kv, kv, Tensor(np.zeros((2, 3, 4))), 2),  # bias is not (heads, n, m)
-                 (q, kv, kv, Tensor(np.zeros((2, 2, 3, 5))), 2)]:  # bias would enlarge
+                 (q, kv, kv, Tensor(np.zeros((3, 4, 2))), 2),  # bias is not (n, m, heads)
+                 (q, kv, kv, Tensor(np.zeros((2, 3, 5, 2))), 2),  # bias would enlarge
+                 (q, kv, kv, Tensor(np.zeros((5, 2))), 2),  # bias has no query axis
+                 (q, kv, kv, None, 2, Tensor(np.zeros((2, 4))), None),  # unpaired rows
+                 (q, kv, kv, None, 2, Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4)))),
+                 (q, kv, kv, None, 2, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))]:
         with pytest.raises(ShapeError):
             T.attention(*args)
 
@@ -870,8 +893,6 @@ def zeros(*shape):
 # name -> (the failing call, text its message must hold)
 SHAPE_ERROR_CASES = {
     "reshape": (lambda: T.reshape(zeros(2, 3), (5,)), ["reshape", "(2, 3)", "(5,)"]),
-    "broadcast_to": (lambda: T.broadcast_to(zeros(2, 3), (4, 3)),
-                     ["broadcast_to", "(2, 3)", "(4, 3)"]),
     "concat-extent": (lambda: T.concat([zeros(2, 3), zeros(2, 4)], axis=0),
                       ["concat", "(2, 3)", "(2, 4)"]),
     "concat-axis": (lambda: T.concat([zeros(2, 3), zeros(2, 3)], axis=5), ["concat", "axis 5"]),
@@ -894,6 +915,12 @@ SHAPE_ERROR_CASES = {
     "layer_norm-0d": (lambda: T.layer_norm(zeros(), zeros(1), zeros(1)), ["layer_norm", "()"]),
     "log_softmax-axis": (lambda: T.log_softmax(zeros(2), axis=3), ["log_softmax", "axis 3"]),
     "tmean-empty-axis": (lambda: T.tmean(zeros(0, 3), axis=0), ["mean", "axis 0", "(0, 3)"]),
+    "attention-rows": (lambda: T.attention(zeros(3, 4), zeros(5, 4), zeros(5, 4), None, 2,
+                                           zeros(2, 3), zeros(2, 3)),
+                       ["extra key/value rows", "(2, 3)", "(r, 4)"]),
+    "attention-bias": (lambda: T.attention(zeros(3, 4), zeros(5, 4), zeros(5, 4),
+                                           zeros(3, 4, 2), 2),
+                       ["attention bias", "(3, 4, 2)", "(3, 5, 2)"]),
 }
 
 
