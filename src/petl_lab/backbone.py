@@ -42,6 +42,8 @@ from .errors import ConfigError, GeometryError
 from .registry import ParameterRegistry, allocate, backbone_parameter_plan
 from .tensor import Tensor
 
+CHANNELS = 3  # every clip is RGB, as make_dataset makes them
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -61,8 +63,6 @@ class ModelConfig:
     window_size: tuple[int, int, int] = (4, 4, 4)
     ffn_ratio: int = 4
     num_classes: int = 4
-    layer_norm_eps: float = 1e-5
-    in_channels: int = 3
 
     @property
     def num_stages(self) -> int:
@@ -76,7 +76,7 @@ class ModelConfig:
     @property
     def patch_volume(self) -> int:
         pt, ph, pw = self.patch_size
-        return pt * ph * pw * self.in_channels
+        return pt * ph * pw * CHANNELS
 
     def token_grid(self) -> tuple[int, int, int]:
         """Token grid after patch embedding; raises if extents do not divide."""
@@ -104,6 +104,9 @@ class ModelConfig:
             raise ConfigError("embed_dims, blocks_per_stage, heads_per_stage lengths differ")
         if not (len(self.input_size) == len(self.patch_size) == len(self.window_size) == 3):
             raise ConfigError("input, patch and window sizes need 3 extents (t, h, w)")
+        if n < 1 or any(d < 1 for d in self.embed_dims):
+            raise ConfigError(f"need one or more stages and every stage dim >= 1, "
+                              f"got {list(self.embed_dims)}")
         if any(heads < 1 for heads in self.heads_per_stage):
             raise ConfigError("every stage needs at least one head")
         for d, heads in zip(self.embed_dims, self.heads_per_stage):
@@ -277,8 +280,8 @@ def _windowed_attention(tokens: Tensor, w: dict[str, Tensor], layout: WindowLayo
     return T.gather_rows(stitched, layout.inverse_perm, axis=-2)
 
 
-def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float,
-               hooks=None, scope: str = "block") -> Tensor:
+def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, hooks=None,
+               scope: str = "block") -> Tensor:
     """One block: windowed attention and FFN, each behind layer norm + residual.
 
     The two halves run as the scopes ``{scope}.attn`` and ``{scope}.ffn``
@@ -287,19 +290,18 @@ def swin_block(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float
     keeps only the GELU derivative for backward, plus the GELU output when
     fc2's weight trains.
     """
-    z_hat = T.scoped(f"{scope}.attn", _attention_residual, z, w, layout, eps, hooks)
-    return T.scoped(f"{scope}.ffn", _ffn_residual, z_hat, w, eps, hooks)
+    z_hat = T.scoped(f"{scope}.attn", _attention_residual, z, w, layout, hooks)
+    return T.scoped(f"{scope}.ffn", _ffn_residual, z_hat, w, hooks)
 
 
-def _attention_residual(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, eps: float,
-                        hooks) -> Tensor:
-    ln1 = T.layer_norm(z, w["norm1.gamma"], w["norm1.beta"], eps)
+def _attention_residual(z: Tensor, w: dict[str, Tensor], layout: WindowLayout, hooks) -> Tensor:
+    ln1 = T.layer_norm(z, w["norm1.gamma"], w["norm1.beta"])
     extras = hooks.attention_extras(ln1) if hooks is not None else None
     return T.add(_windowed_attention(ln1, w, layout, extras), z)
 
 
-def _ffn_residual(z_hat: Tensor, w: dict[str, Tensor], eps: float, hooks) -> Tensor:
-    ln2 = T.layer_norm(z_hat, w["norm2.gamma"], w["norm2.beta"], eps)
+def _ffn_residual(z_hat: Tensor, w: dict[str, Tensor], hooks) -> Tensor:
+    ln2 = T.layer_norm(z_hat, w["norm2.gamma"], w["norm2.beta"])
     ffn = T.mlp(ln2, w["ffn.fc1.weight"], w["ffn.fc1.bias"],
                 w["ffn.fc2.weight"], w["ffn.fc2.bias"])
     out = T.add(ffn, z_hat)
@@ -324,7 +326,7 @@ def merge_index(grid: tuple[int, int, int]) -> np.ndarray:
     return np.stack([q.reshape(-1) for q in quadrants], axis=-1)
 
 
-def merge_tokens(z: Tensor, index: np.ndarray, w: dict[str, Tensor], eps: float) -> Tensor:
+def merge_tokens(z: Tensor, index: np.ndarray, w: dict[str, Tensor]) -> Tensor:
     """2x2 spatial patch merge: concat neighbor features, norm, linear reduce.
 
     ``z`` is (..., N, d) and ``index`` is :func:`merge_index` of its grid;
@@ -335,7 +337,7 @@ def merge_tokens(z: Tensor, index: np.ndarray, w: dict[str, Tensor], eps: float)
     """
     *lead, _, d = z.data.shape
     cat = T.reshape(T.gather_rows(z, index, axis=-2), (*lead, len(index), 4 * d))
-    cat = T.layer_norm(cat, w["norm.gamma"], w["norm.beta"], eps)
+    cat = T.layer_norm(cat, w["norm.gamma"], w["norm.beta"])
     return T.matmul(cat, w["reduction.weight"])
 
 
@@ -345,13 +347,13 @@ def extract_patches(video: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     ``video`` is (..., t, h, w, channels); returns (..., N, patch_volume).
     """
     video = np.asarray(video, dtype=np.float64)
-    expected = (*cfg.input_size, cfg.in_channels)
+    expected = (*cfg.input_size, CHANNELS)
     if video.shape[-4:] != expected:
         raise GeometryError(f"clip shape {video.shape} does not end in config {expected}")
     lead = video.shape[:-4]
     gt, gh, gw = cfg.token_grid()
     pt, ph, pw = cfg.patch_size
-    patches = video.reshape(*lead, gt, pt, gh, ph, gw, pw, cfg.in_channels)
+    patches = video.reshape(*lead, gt, pt, gh, ph, gw, pw, CHANNELS)
     b = len(lead)
     patches = patches.transpose(*range(b), *(b + a for a in (0, 2, 4, 1, 3, 5, 6)))
     return patches.reshape(*lead, gt * gh * gw, cfg.patch_volume)
@@ -415,17 +417,16 @@ class VideoSwinModel:
         :class:`~petl_lab.errors.NonFiniteError` naming its scope.
         """
         cfg = self.cfg
-        eps = cfg.layer_norm_eps
 
         def w(path: str) -> Tensor:
             return self.registry.get(path).tensor
 
         def embed(video: np.ndarray) -> Tensor:
             z = patch_embed(video, cfg, w("patch_embed.proj.weight"), w("patch_embed.proj.bias"))
-            return T.layer_norm(z, w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"), eps)
+            return T.layer_norm(z, w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"))
 
         def head(z: Tensor) -> Tensor:
-            z = T.layer_norm(z, w("norm.gamma"), w("norm.beta"), eps)
+            z = T.layer_norm(z, w("norm.gamma"), w("norm.beta"))
             pooled = T.tmean(z, axis=-2, keepdims=True)
             logits = T.linear(pooled, w("head.weight"), w("head.bias"))
             return T.reshape(logits, (*z.data.shape[:-2], cfg.num_classes))
@@ -433,11 +434,11 @@ class VideoSwinModel:
         z = T.scoped("embed", embed, video)
         for i, (blocks, grid) in enumerate(zip(self.blocks, cfg.stage_grids())):
             for j, blk in enumerate(blocks):  # odd blocks run on the shifted grid
-                z = swin_block(z, blk, self.layout(grid, bool(j % 2)), eps, self.hooks[i][j],
+                z = swin_block(z, blk, self.layout(grid, bool(j % 2)), self.hooks[i][j],
                                f"stage{i}.block{j}")
             if i < len(self.downsamples):
                 z = T.scoped(f"merge{i}", merge_tokens, z, self.merge_index(grid),
-                             self.downsamples[i], eps)
+                             self.downsamples[i])
         return T.scoped("head", head, z)
 
     def zero_grads(self) -> None:

@@ -66,6 +66,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,9 +80,8 @@ from .errors import ConfigError, GeometryError
 from .harness import (GradCheckResult, OptimizerConfig, SyntheticVideoDataset, grad_check,
                       make_dataset, train)
 from .petl import PETLSpec, attach_petl
-from .registry import (backbone_parameter_plan, count_params, freeze_backbone,
-                       head_count, millions, petl_parameter_plan, plan_total,
-                       positional_count_report)
+from .registry import (backbone_parameter_plan, freeze_backbone, millions, plan_total,
+                       positional_count_report, trainable_plan_total)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "PETL_LAB_OUT"
@@ -109,8 +109,8 @@ class DatasetSpec:
         if min(self.n_classes, self.per_class, self.eval_per_class,
                self.frames, self.height, self.width) < 1:
             raise ConfigError("dataset section values must be positive")
-        if self.noise < 0:
-            raise ConfigError("dataset noise must be >= 0")
+        if not 0.0 <= self.noise < math.inf:
+            raise ConfigError(f"dataset noise must be finite and >= 0, got {self.noise}")
 
 
 class _Axis(NamedTuple):
@@ -481,14 +481,12 @@ def execute_run(cfg: ExperimentConfig, index: int, run: Run, out_dir: Path,
     history = train(model, train_ds, cfg.optimizer, seed=run_seed, eval_dataset=eval_ds)
     _write_csv(out_dir / f"history_{run_id}.csv", ("step", "loss"),
                enumerate(history.losses, start=1))
-
-    trainable = count_params(model.registry, "trainable")
     return RunRow(
         run_id=run_id,
         mechanism=_run_label(model.petl_spec),
         **run._asdict(),
-        trainable_params=trainable,
-        trainable_millions=millions(trainable),
+        trainable_params=history.trainable_count,
+        trainable_millions=millions(history.trainable_count),
         train_top1=history.final_train_top1,
         eval_top1=history.final_eval_top1,
         wall_seconds=history.wall_seconds,
@@ -533,13 +531,10 @@ def emit_counts(cfg: ExperimentConfig, out_dir: str | None = None,
     _write_csv(out / "counts_positions.csv", ("position", "count_exact", "count_millions"),
                ((r.position, r.count_exact, f"{r.count_millions:.2f}") for r in positions))
     total = plan_total(backbone_parameter_plan(cfg.model))
-    head = head_count(cfg.model.embed_dims[-1], cfg.model.num_classes)
     petl_rows = []
     for i, run in enumerate(cfg.ablation.combos()):
         model_cfg, spec = run_setup(cfg, run)
-        trainable = plan_total(petl_parameter_plan(model_cfg, spec))
-        if spec.tune_head:
-            trainable += head
+        trainable = trainable_plan_total(model_cfg, spec)
         petl_rows.append({
             "config_id": f"cfg{i:03d}",
             "mechanism": _run_label(spec),

@@ -56,8 +56,8 @@ def make_dataset(n_classes: int, per_class: int,
     """Generate ``n_classes * per_class`` moving-grating clips, channels last."""
     if n_classes < 1 or per_class < 1 or any(x < 1 for x in clip_shape):
         raise ConfigError("dataset sizes must be positive")
-    if seed < 0 or not noise >= 0.0:
-        raise ConfigError(f"dataset seed and noise must be >= 0, got {seed} and {noise}")
+    if seed < 0 or not 0.0 <= noise < math.inf:
+        raise ConfigError(f"dataset seed must be >= 0, noise finite and >= 0; got {seed}, {noise}")
     t, h, w = clip_shape
     rng = np.random.default_rng(seed)
     ys = np.linspace(0.0, 1.0, h, endpoint=False)[:, None]
@@ -95,8 +95,8 @@ class OptimizerConfig:
     def validate(self) -> None:
         if self.kind not in ("sgd", "sgd-momentum", "adam"):
             raise ConfigError(f"unknown optimizer kind '{self.kind}'")
-        if self.lr < 0:
-            raise ConfigError("learning rate must be >= 0")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1 or self.steps < 1:
             raise ConfigError("steps and batch size must be >= 1")
         if self.eval_every < 0:
@@ -104,8 +104,8 @@ class OptimizerConfig:
         for name in ("beta1", "beta2", "momentum"):  # a factor of 1 divides by 1 - 1 in Adam
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
 
 
 class _Sgd:

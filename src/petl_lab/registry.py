@@ -13,10 +13,10 @@ Three independent routes produce counts and are cross-checked in tests:
 2. the plans themselves (:func:`plan_total`);
 3. closed-form arithmetic, kept in the test suite's reference implementation.
 
-The per-position report follows the convention that every position row also
-counts the stage-transition downsampling parameters, and rows inside the
-attention module additionally count the relative-position bias tables (those
-parameters train alongside any attention-internal site).
+One rule, :func:`_trains`, says which weights train; :func:`freeze_backbone`
+and :func:`trainable_plan_total` share it, so a built model and the ``count``
+verb cannot disagree. One table, :data:`POSITIONS`, says which weights each
+backbone position holds, and the per-position report reads it.
 """
 
 from __future__ import annotations
@@ -110,21 +110,20 @@ def count_params(registry: ParameterRegistry, which: str = "all",
     return total
 
 
-def _is_petl_path(path: str) -> bool:
-    return ".petl." in path
+def _trains(path: str, spec) -> bool:
+    """Every insert trains, and the head if ``spec.tune_head``; with no spec, inserts only."""
+    return ".petl." in path or (spec is not None and spec.tune_head and path.startswith("head."))
 
 
 def freeze_backbone(model, spec) -> None:
-    """Freeze every backbone weight; fine-tuning inserts stay trainable.
+    """Let exactly the weights that :func:`_trains` accepts track gradients.
 
-    The classification head follows ``spec.tune_head``. Freezing disables
-    gradient tracking on the tensor, so frozen weights never enter the
-    autodiff graph.
+    Every backbone weight freezes; the head follows ``spec.tune_head``.
+    Freezing disables gradient tracking on the tensor, so frozen weights
+    never enter the autodiff graph.
     """
-    tune_head = bool(spec.tune_head) if spec is not None else False
     for p in model.registry:
-        p.tensor.requires_grad = (_is_petl_path(p.path)
-                                  or (tune_head and p.path.startswith("head.")))
+        p.tensor.requires_grad = _trains(p.path, spec)
 
 
 # -- shape plans and allocation ----------------------------------------------
@@ -215,6 +214,12 @@ def plan_total(plan: Iterable[tuple[str, tuple[int, ...]]],
     return sum(math.prod(shape) for path, shape in plan if predicate is None or predicate(path))
 
 
+def trainable_plan_total(cfg, spec) -> int:
+    """Weights that train in ``cfg``'s model with ``spec``'s inserts, from the plans."""
+    plan = backbone_parameter_plan(cfg) + petl_parameter_plan(cfg, spec)
+    return plan_total(plan, lambda path: _trains(path, spec))
+
+
 def allocate(registry: ParameterRegistry, plan: Iterable[tuple[str, tuple[int, ...]]],
              rng: np.random.Generator) -> None:
     """Register a gradient-tracking tensor for every plan entry, in plan order.
@@ -250,16 +255,20 @@ def count_full_swin_b(num_classes: int) -> int:
 
 # -- positional report ---------------------------------------------------------
 
-POSITION_ORDER = (
-    "LayerNorm 1",
-    "Attn, Proj",
-    "Attn, QKV",
-    "Attn, SoftMax",
-    "LayerNorm 2",
-    "MLP, FC1",
-    "MLP, FC2",
-    "DownSample",
-)
+# Each backbone position, in report order, and the path markers of its weights.
+# Convention: every position also counts the downsampling weights
+# (``.downsample.``), and those inside attention also count the
+# relative-position bias tables, which train alongside any attention site.
+POSITIONS = {
+    "LayerNorm 1": (".norm1.",),
+    "Attn, Proj": (".attn.proj.", ".attn.bias_table"),
+    "Attn, QKV": (".attn.q.", ".attn.k.", ".attn.v.", ".attn.bias_table"),
+    "Attn, SoftMax": (".attn.bias_table",),
+    "LayerNorm 2": (".norm2.",),
+    "MLP, FC1": (".ffn.fc1.",),
+    "MLP, FC2": (".ffn.fc2.",),
+    "DownSample": (),
+}
 
 
 @dataclass
@@ -273,29 +282,12 @@ class PositionCount:
 
 
 def positional_count_report(cfg) -> list[PositionCount]:
-    """Trainable-parameter count for independently tuning each block position.
+    """Trainable-parameter count for tuning each :data:`POSITIONS` entry alone.
 
-    Convention: every row includes the downsampling (patch-merge) parameters;
-    rows inside the attention module also include the relative-position bias
-    tables. Counts include weight, bias, and norm gain/offset tensors of the
-    position itself.
+    A row counts the backbone weights (weights, biases, norm gains and
+    offsets) whose path holds ``.downsample.`` or one of its markers.
     """
     plan = backbone_parameter_plan(cfg)
-
-    def total(marker: str) -> int:
-        return plan_total(plan, lambda path: marker in path)
-
-    down = total(".downsample.")
-    tables = total(".attn.bias_table")
-    qkv = total(".attn.q.") + total(".attn.k.") + total(".attn.v.")
-    rows = {
-        "LayerNorm 1": total(".norm1.") + down,
-        "Attn, Proj": total(".attn.proj.") + tables + down,
-        "Attn, QKV": qkv + tables + down,
-        "Attn, SoftMax": tables + down,
-        "LayerNorm 2": total(".norm2.") + down,
-        "MLP, FC1": total(".ffn.fc1.") + down,
-        "MLP, FC2": total(".ffn.fc2.") + down,
-        "DownSample": down,
-    }
-    return [PositionCount(name, rows[name]) for name in POSITION_ORDER]
+    return [PositionCount(name, plan_total(plan, lambda path: ".downsample." in path
+                                           or any(m in path for m in markers)))
+            for name, markers in POSITIONS.items()]

@@ -35,7 +35,7 @@ def rng():
 
 
 def random_clip(rng, cfg: ModelConfig) -> np.ndarray:
-    return rng.normal(size=(*cfg.input_size, cfg.in_channels))
+    return rng.normal(size=(*cfg.input_size, 3))
 
 
 class FixedRows:

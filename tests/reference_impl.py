@@ -10,6 +10,10 @@ import math
 
 import numpy as np
 
+# The model's layer-norm epsilon, written here so the oracle reads no setting
+# from the package.
+LN_EPS = 1e-5
+
 
 def ref_layer_norm(x, gamma, beta, eps):
     mu = x.mean(axis=-1, keepdims=True)
@@ -119,12 +123,11 @@ def ref_block(z, model, i, j, grid):
     reg = model.registry
     base = f"stages.{i}.blocks.{j}"
     w = lambda name: reg.get(f"{base}.{name}").tensor.data
-    eps = cfg.layer_norm_eps
     heads = cfg.heads_per_stage[i]
     spec = model.petl_spec
     petl = _petl_params(model, i, j)
 
-    ln1 = ref_layer_norm(z, w("norm1.gamma"), w("norm1.beta"), eps)
+    ln1 = ref_layer_norm(z, w("norm1.gamma"), w("norm1.beta"), LN_EPS)
 
     extra_k = extra_v = None
     rows_k, rows_v = [], []
@@ -174,7 +177,7 @@ def ref_block(z, model, i, j, grid):
             attn_out[ia] = out[a]
 
     z_hat = attn_out + z
-    ln2 = ref_layer_norm(z_hat, w("norm2.gamma"), w("norm2.beta"), eps)
+    ln2 = ref_layer_norm(z_hat, w("norm2.gamma"), w("norm2.beta"), LN_EPS)
     ffn = ref_gelu(ln2 @ w("ffn.fc1.weight") + w("ffn.fc1.bias")) \
         @ w("ffn.fc2.weight") + w("ffn.fc2.bias")
     out = ffn + z_hat
@@ -206,7 +209,7 @@ def ref_forward(model, clip):
                 flat += 1
     z = tokens @ w("patch_embed.proj.weight") + w("patch_embed.proj.bias")
     z = ref_layer_norm(z, w("patch_embed.norm.gamma"), w("patch_embed.norm.beta"),
-                       cfg.layer_norm_eps)
+                       LN_EPS)
 
     grid = (gt, gh, gw)
     for i in range(cfg.num_stages):
@@ -227,11 +230,11 @@ def ref_forward(model, clip):
                         row += 1
             merged = ref_layer_norm(
                 merged, w(f"stages.{i}.downsample.norm.gamma"),
-                w(f"stages.{i}.downsample.norm.beta"), cfg.layer_norm_eps)
+                w(f"stages.{i}.downsample.norm.beta"), LN_EPS)
             z = merged @ w(f"stages.{i}.downsample.reduction.weight")
             grid = (a, b // 2, c // 2)
 
-    z = ref_layer_norm(z, w("norm.gamma"), w("norm.beta"), cfg.layer_norm_eps)
+    z = ref_layer_norm(z, w("norm.gamma"), w("norm.beta"), LN_EPS)
     pooled = z.mean(axis=0)
     return pooled @ w("head.weight") + w("head.bias")
 

@@ -266,7 +266,7 @@ def test_zero_weight_block_is_identity(rng):
             p.tensor.data[...] = 0.0
     grid = TINY.token_grid()
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0]))
-    out = swin_block(Tensor(z), blk, model.layout(grid, False), TINY.layer_norm_eps)
+    out = swin_block(Tensor(z), blk, model.layout(grid, False))
     assert np.array_equal(out.data, z)
 
 
@@ -275,8 +275,7 @@ def test_block_preserves_shape(rng):
     grid = TINY.token_grid()
     z = Tensor(rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0])))
     for shifted in (False, True):
-        out = swin_block(z, model.blocks[0][0], model.layout(grid, shifted),
-                         TINY.layer_norm_eps)
+        out = swin_block(z, model.blocks[0][0], model.layout(grid, shifted))
         assert out.shape == z.shape
 
 
@@ -284,8 +283,7 @@ def test_block_matches_reference_composition(rng):
     model = build_model(TINY, seed=3)
     grid = TINY.token_grid()
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0]))
-    out = swin_block(Tensor(z), model.blocks[0][0], model.layout(grid, False),
-                     TINY.layer_norm_eps)
+    out = swin_block(Tensor(z), model.blocks[0][0], model.layout(grid, False))
     ref = ref_block(z, model, 0, 0, grid)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -294,8 +292,7 @@ def test_shifted_block_matches_reference(rng):
     model = build_model(TINY, seed=4)
     grid = (2, 4, 4)  # stage 2 grid; block 1 there is shifted
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[2]))
-    out = swin_block(Tensor(z), model.blocks[2][1], model.layout(grid, True),
-                     TINY.layer_norm_eps)
+    out = swin_block(Tensor(z), model.blocks[2][1], model.layout(grid, True))
     ref = ref_block(z, model, 2, 1, grid)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 

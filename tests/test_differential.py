@@ -84,7 +84,7 @@ def test_forward_matches_the_oracle_on_drawn_models(data):
     assert closed_form_backbone_count(cfg) == backbone
     assert count_params(model.registry) == backbone + plan_total(petl_parameter_plan(cfg, spec))
 
-    clips = rng.normal(size=(*lead, *cfg.input_size, cfg.in_channels))
+    clips = rng.normal(size=(*lead, *cfg.input_size, 3))
     flat = clips.reshape(-1, *clips.shape[len(lead):])
     with T.no_grad():
         batched = model.forward(clips).data
@@ -129,7 +129,7 @@ def test_zero_settings_on_drawn_models_reproduce_the_backbone_bitwise(data):
             if ".petl." in p.path:
                 p.tensor.data[...] = rng.normal(scale=0.5, size=p.shape)
 
-    clips = rng.normal(size=(*lead, *cfg.input_size, cfg.in_channels))
+    clips = rng.normal(size=(*lead, *cfg.input_size, 3))
     with T.no_grad():
         assert np.array_equal(model.forward(clips).data,
                               build_model(cfg, seed=seed).forward(clips).data)

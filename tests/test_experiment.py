@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petl_lab import ConfigError, experiment, harness, head_count
+from petl_lab import ConfigError, count_params, experiment, harness, head_count
 from petl_lab import tensor as T
 from petl_lab.cli import main as cli_main
 from petl_lab.experiment import (TradeoffReport, config_from_dict, config_to_dict,
@@ -608,6 +608,26 @@ def test_emit_counts_match_executed_run(tmp_path):
     assert counted["trainable_params"] == ran.trainable_params
 
 
+MECHANISM_SETS = [["prefix"], ["adapter_parallel"], ["adapter_sequential"], ["prompt"],
+                  ["patt"], ["adapter_parallel", "patt"], []]
+
+
+@pytest.mark.parametrize("attach_stages", [None, [False, False, True, True]],
+                         ids=["all-stages", "last-two"])
+@pytest.mark.parametrize("tune_head", [True, False], ids=["head", "no-head"])
+@pytest.mark.parametrize("mechanisms", MECHANISM_SETS,
+                         ids=["+".join(m) or "none" for m in MECHANISM_SETS])
+def test_count_verb_agrees_with_the_frozen_model(tmp_path, mechanisms, tune_head,
+                                                attach_stages):
+    # every setting that changes what trains: the plan count and the built model's flags
+    raw = make_config(petl={"mechanisms": mechanisms, "tune_head": tune_head,
+                            "attach_stages": attach_stages})
+    cfg = parse_config(write_config(tmp_path, raw))
+    counted = emit_counts(cfg, out_dir=tmp_path / "c", quiet=True)["petl"][0]
+    model = experiment.build_run(cfg, 0, cfg.ablation.combos()[0])
+    assert counted["trainable_params"] == count_params(model.registry, "trainable")
+
+
 # -- plotting -----------------------------------------------------------------------
 
 
@@ -827,6 +847,32 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, verb, spelling):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["count", "run"])
+@pytest.mark.parametrize("model", [{"dims": [-16, 4, 8, 8]}, {"dims": [0, 4, 8, 8]},
+                                   {"dims": [], "blocks": [], "heads": []}],
+                         ids=["negative", "zero", "no-stage"])
+def test_cli_non_positive_stage_dim_is_a_config_error(tmp_path, capsys, verb, model):
+    # no bottleneck insert, whose width check would catch the dim first
+    raw = make_config(model=model, petl={"mechanisms": ["prefix"]})
+    assert cli_main([verb, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "stage dim" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("optimizer", "lr", math.nan), ("optimizer", "lr", math.inf), ("optimizer", "eps", math.inf),
+    ("dataset", "noise", math.nan), ("dataset", "noise", math.inf),
+], ids=["lr-nan", "lr-inf", "eps-inf", "noise-nan", "noise-inf"])
+def test_cli_non_finite_setting_is_a_config_error(tmp_path, capsys, section, key, value):
+    path = write_config(tmp_path, make_config(**{section: {key: value}}))
+    assert cli_main(["count", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err, err
 
 
 @pytest.mark.parametrize("key,value", [("beta1", 1.0), ("beta2", 1.5), ("momentum", -3.0),

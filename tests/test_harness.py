@@ -66,6 +66,12 @@ def test_dataset_rejects_negative_noise():
         make_dataset(2, 1, (4, 8, 8), seed=0, noise=-1.0)
 
 
+@pytest.mark.parametrize("noise", [math.nan, math.inf], ids=["nan", "inf"])
+def test_dataset_rejects_non_finite_noise(noise):
+    with pytest.raises(ConfigError, match="noise"):
+        make_dataset(2, 1, (4, 8, 8), seed=0, noise=noise)
+
+
 def test_dataset_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         make_dataset(2, 1, (4, 8, 8), seed=-1)

@@ -10,7 +10,7 @@ from petl_lab.petl import BlockHooks
 from petl_lab.registry import plan_total
 
 from conftest import TINY, FixedRows, random_clip
-from reference_impl import ref_layer_norm, ref_window_attention
+from reference_impl import LN_EPS, ref_layer_norm, ref_window_attention
 from test_backbone import projection_arrays, random_attention_weights
 
 
@@ -189,19 +189,17 @@ def test_adapter_parallel_matches_branch_decomposition(rng):
     z = rng.normal(size=(int(np.prod(grid)), TINY.embed_dims[0]))
     from petl_lab.backbone import _windowed_attention, swin_block
     out_mod = swin_block(Tensor(z), modified.blocks[0][0], modified.layout(grid, False),
-                         TINY.layer_norm_eps, modified.hooks[0][0])
-    out_base = swin_block(Tensor(z), base.blocks[0][0], base.layout(grid, False),
-                          TINY.layer_norm_eps)
+                         modified.hooks[0][0])
+    out_base = swin_block(Tensor(z), base.blocks[0][0], base.layout(grid, False))
 
     # independent branch computation from raw weights:
     # z_hat = attention(LN1(z)) + z, branch input is LN2(z_hat)
     get = lambda name: modified.registry.get(f"stages.0.blocks.0.{name}").tensor.data
-    ln1 = ref_layer_norm(z, get("norm1.gamma"), get("norm1.beta"), TINY.layer_norm_eps)
+    ln1 = ref_layer_norm(z, get("norm1.gamma"), get("norm1.beta"), LN_EPS)
     att = _windowed_attention(Tensor(ln1), base.blocks[0][0],
                               base.layout(grid, False), None)
     z_hat = att.data + z
-    ln2 = ref_layer_norm(z_hat, get("norm2.gamma"), get("norm2.beta"),
-                         TINY.layer_norm_eps)
+    ln2 = ref_layer_norm(z_hat, get("norm2.gamma"), get("norm2.beta"), LN_EPS)
     branch = np.maximum(ln2 @ get("petl.adapter.down.weight")
                         + get("petl.adapter.down.bias"), 0.0) \
         @ get("petl.adapter.up.weight") + get("petl.adapter.up.bias")
