@@ -130,12 +130,19 @@ class _SgdMomentum:
             if g is None:
                 continue
             buf = self.buf.get(p.path)
-            buf = g.copy() if buf is None else self.mu * buf + g
-            self.buf[p.path] = buf
+            if buf is None:
+                buf = self.buf[p.path] = g.copy()
+            else:  # mu * buf + g, in the buffer
+                buf *= self.mu
+                buf += g
             p.tensor.data -= self.lr * buf
 
 
 class _Adam:
+    """Adam with bias correction. The moments are new arrays at a weight's first
+    step and are updated in place after it, in the order of
+    ``b1 * m + (1 - b1) * g`` and ``b2 * v + (1 - b2) * g * g``."""
+
     def __init__(self, cfg: OptimizerConfig):
         self.lr = cfg.lr
         self.b1 = cfg.beta1
@@ -155,10 +162,16 @@ class _Adam:
                 continue
             m = self.m.get(p.path)
             v = self.v.get(p.path)
-            m = (1 - self.b1) * g if m is None else self.b1 * m + (1 - self.b1) * g
-            v = (1 - self.b2) * g * g if v is None else self.b2 * v + (1 - self.b2) * g * g
-            self.m[p.path] = m
-            self.v[p.path] = v
+            if m is None:
+                m = self.m[p.path] = (1 - self.b1) * g
+                v = self.v[p.path] = (1 - self.b2) * g * g
+            else:
+                m *= self.b1
+                m += (1 - self.b1) * g
+                v *= self.b2
+                t = (1 - self.b2) * g
+                t *= g
+                v += t
             p.tensor.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
@@ -237,8 +250,8 @@ def evaluate(model, dataset: SyntheticVideoDataset,
     """
     if len(dataset) == 0:
         raise ConfigError("evaluate on an empty dataset")
-    if batch_size < 1:
-        raise ConfigError("evaluate batch size must be >= 1")
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ConfigError(f"evaluate batch size must be an integer >= 1, got {batch_size!r}")
     hits = 0
     with T.no_grad():
         for s in range(0, len(dataset), batch_size):
@@ -260,13 +273,17 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
     """Fine-tune the model's trainable parameters on the dataset.
 
     Only parameters with gradient tracking enabled are updated; everything
-    else is untouched down to the bit. A fixed seed fixes the batch sequence,
-    so reruns reproduce the history exactly. A non-finite gradient raises
-    :class:`~petl_lab.errors.NonFiniteError` naming its parameter before the
-    optimizer writes any weight. Evaluations run in chunks of
-    ``opt.batch_size`` clips, so none outgrows a training step.
+    else is untouched down to the bit. A fixed seed, an integer >= 0, fixes
+    the batch sequence, so reruns reproduce the history exactly. A non-finite
+    gradient raises :class:`~petl_lab.errors.NonFiniteError` naming its
+    parameter before the optimizer writes any weight. Each step clears the
+    gradients before its forward, so the previous step's are freed while the
+    graph is built. Evaluations run in chunks of ``opt.batch_size`` clips, so
+    none outgrows a training step.
     """
     opt.validate()
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"training seed must be an integer >= 0, got {seed!r}")
     trainable = model.registry.trainable()
     if not trainable:
         raise ConfigError("model has no trainable parameters")
@@ -285,8 +302,8 @@ def train(model, dataset: SyntheticVideoDataset, opt: OptimizerConfig, seed: int
     start = time.perf_counter()
     for step in range(1, opt.steps + 1):
         batch = rng.integers(0, len(dataset), size=opt.batch_size)
+        model.zero_grads()  # before the forward, so the last step's gradients are freed
         loss = _batch_loss(model, dataset.clips[batch], dataset.labels[batch])
-        model.zero_grads()
         loss.backward()
         _check_gradients(trainable, f"step {step}")
         optimizer.step(trainable)

@@ -50,6 +50,12 @@ received. As soon as a node's rule has run, its gradient, rule and parents
 are dropped, so saved arrays are freed while backward walks the graph; the
 node keeps only its consumed mark.
 
+Ownership: an op or a rule may overwrite an array it created, or an array
+its rule saved at the last point the rule reads it, never a gradient it
+received. So the kernels below write into buffers they own instead of
+allocating a temporary per step, as long as no array they hand on is a view
+of a buffer they go on writing.
+
 Two fused ops keep less than the op-by-op graphs they replace. Each gives
 the same output and gradients bit for bit, and checks for non-finite values
 exactly where the per-op checks would have raised. The op-by-op reference
@@ -574,18 +580,25 @@ def tmean(t: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool =
 # -- normalization and attention kernels ------------------------------------
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Stable softmax of ``x`` along ``axis``, computed in one new buffer."""
-    e = x - x.max(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax of ``x`` along ``axis``, computed in ``out`` (``x`` itself
+    may be given) or, by default, in one new buffer."""
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
-def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """Input gradient of a softmax along ``axis`` whose output is ``y``."""
-    gy = g * y
-    gy -= y * gy.sum(axis=axis, keepdims=True)
+def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int, out: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    """Input gradient of a softmax along ``axis`` whose output is ``y``.
+
+    It is computed in ``out`` (``g`` itself may be given), and the product of
+    ``y`` and the row sums in ``scratch`` (``y`` itself may be given); each
+    defaults to a new buffer, so by default no input is written.
+    """
+    gy = np.multiply(g, y, out=out)
+    gy -= np.multiply(y, gy.sum(axis=axis, keepdims=True), out=scratch)
     return gy
 
 
@@ -614,7 +627,11 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     A variance that is not finite raises
     :class:`~petl_lab.errors.NonFiniteError`: an overflowed one would
-    normalize its row to zeros.
+    normalize its row to zeros. Forward writes the normalized input over the
+    squares it took the variance of, and the output over the centered input;
+    the input gradient takes two new buffers. Each element sees the
+    operations of ``xhat * gamma + beta`` and of
+    ``inv_std * (gx - mean(gx) - xhat * mean(gx * xhat))``, in their order.
     """
     try:
         d = t.data.shape[-1]
@@ -626,11 +643,13 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # np.add.reduce, then / d: the ufunc calls ndarray.mean makes, without its wrapper
     mu = np.add.reduce(t.data, axis=-1, keepdims=True) / d
     centered = t.data - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    squares = centered * centered
+    var = np.add.reduce(squares, axis=-1, keepdims=True) / d
     _ensure_finite(var, "layer_norm variance")
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = xhat * gamma.data + beta.data
+    xhat = np.multiply(centered, inv_std, out=squares)
+    data = np.multiply(xhat, gamma.data, out=centered)
+    data += beta.data
     if not _tracked((t, gamma, beta)):
         return _make_op(data, (), None, "layer_norm")
     gt, gg, gb = _wants(t), _wants(gamma), _wants(beta)
@@ -645,10 +664,12 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gg._accum_grad((g * kept_xhat).sum(axis=lead))
         if gt is not None:
             gx = g * gamma_data
-            gt._accum_grad(kept_inv_std * (
-                gx
-                - np.add.reduce(gx, axis=-1, keepdims=True) / d
-                - kept_xhat * (np.add.reduce(gx * kept_xhat, axis=-1, keepdims=True) / d)))
+            tmp = gx * kept_xhat
+            m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / d
+            gx -= np.add.reduce(gx, axis=-1, keepdims=True) / d
+            gx -= np.multiply(kept_xhat, m2, out=tmp)
+            gx *= kept_inv_std
+            gt._accum_grad(gx)
 
     return _make_op(data, (t, gamma, beta), backward_fn, "layer_norm")
 
@@ -715,7 +736,8 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     ``w1`` requires a gradient, ``w1`` only if ``x`` does, and the GELU
     output only if ``w2`` does. The pre-activation ``h`` is checked for
     finite values, as every op's output is outside a scope; GELU of a finite
-    value is finite.
+    value is finite. Backward scales the hidden gradient by the derivative
+    in place.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     h = _affine(x.data, w1.data, b1.data)
@@ -740,7 +762,8 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         if g_b2 is not None:
             g_b2._accum_grad(_unbroadcast(g, s_b2))
         if below:
-            first(g_hidden * slope)
+            g_hidden *= slope  # a new array from _left_grad
+            first(g_hidden)
 
     return _make_op(data, (x, w1, b1, w2, b2), backward_fn, "mlp")
 
@@ -767,6 +790,13 @@ def attention(q, k, v, bias, heads: int, extra_k=None, extra_v=None) -> Tensor:
     checked for finite values, as every op's output is outside a scope:
     finite biased logits mean the product, the scaled product and the bias
     were finite, and a softmax of finite logits lies in [0, 1].
+
+    The softmax overwrites the logits. Backward computes the values'
+    gradient first, since it reads the softmax output, and sends it last,
+    where the op-by-op graph does. The softmax backward then runs in the new
+    ``g_out @ vh^T``, with the softmax output as its scratch, and that
+    gradient is scaled in place; a bias gradient that would be a view of it
+    is copied first.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim < 2:
@@ -811,7 +841,7 @@ def attention(q, k, v, bias, heads: int, extra_k=None, extra_v=None) -> Tensor:
             raise ShapeError(f"attention bias {bias.shape} does not broadcast to "
                              f"{(*lead, n, m, heads)}") from exc
     _ensure_finite(logits, "attention logits")
-    att = _softmax(logits, -1)
+    att = _softmax(logits, -1, out=logits)
     data = _product(att, vh).transpose(split).reshape(*lead, n, d)
     parents = tuple(t for t in (q, extra_k, k, bias, extra_v, v)  # the op-by-op visiting order
                     if t is not None)
@@ -821,6 +851,7 @@ def attention(q, k, v, bias, heads: int, extra_k=None, extra_v=None) -> Tensor:
     g_q, g_k, g_v, g_bias = _wants(q), _wants(k), _wants(v), _wants(bias)
     g_rk, g_rv = _wants(extra_k), _wants(extra_v)
     keys_train = g_k is not None or g_rk is not None
+    values_train = g_v is not None or g_rv is not None
     to_logits = g_q is not None or keys_train or g_bias is not None
     kept_qh = qh if keys_train else None
     kept_kh = kh if g_q is not None else None
@@ -839,22 +870,28 @@ def attention(q, k, v, bias, heads: int, extra_k=None, extra_v=None) -> Tensor:
             own._accum_grad(g_all[..., r:, :])
 
     def backward_fn(g):
-        # the merge undone, into the C-contiguous copy the op-by-op graph fed its matmuls
+        # the merge undone, into the C-contiguous copy the op-by-op graph fed its matmuls;
+        # it may be a view of g, which no rule writes
         g_out = np.ascontiguousarray(g.reshape(*lead, n, heads, hd).transpose(split))
+        if values_train:  # read att before the softmax backward overwrites it; sent last
+            g_vh = _right_grad(att, g_out, s_vh)
         if to_logits:
-            g_logits = _softmax_backward(_left_grad(g_out, kept_vh, att.shape), att, -1)
+            # in the new g_out @ vh^T, with att, at its last read, as the scratch
+            g_logits = _left_grad(g_out, kept_vh, att.shape)
+            _softmax_backward(g_logits, att, -1, out=g_logits, scratch=att)
             if g_bias is not None:
-                g_bias._accum_grad(
-                    _unbroadcast(g_logits[..., r:], s_bias_h).transpose(from_heads))
-            g_prod = g_logits * scale
+                g_b = _unbroadcast(g_logits[..., r:], s_bias_h).transpose(from_heads)
+                if np.may_share_memory(g_b, g_logits):  # the bias may borrow it; scaled below
+                    g_b = g_b.copy()
+                g_bias._accum_grad(g_b)
+            g_logits *= scale
         if g_q is not None:
-            g_qh = _left_grad(g_prod, kept_kh, s_qh)
+            g_qh = _left_grad(g_logits, kept_kh, s_qh)
             g_q._accum_grad(g_qh.transpose(split).reshape(s_q))
         if keys_train:
-            g_kh = _right_grad(kept_qh, g_prod, s_kh)
+            g_kh = _right_grad(kept_qh, g_logits, s_kh)
             to_inputs(g_kh.transpose(k_merge).reshape(s_all), g_k, g_rk)
-        if g_v is not None or g_rv is not None:
-            g_vh = _right_grad(att, g_out, s_vh)
+        if values_train:
             to_inputs(g_vh.transpose(split).reshape(s_all), g_v, g_rv)
 
     return _make_op(data, parents, backward_fn, "attention")

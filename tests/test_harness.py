@@ -198,6 +198,12 @@ def test_evaluate_rejects_bad_batch_size():
         evaluate(ConstantModel(3), ds, batch_size=0)
 
 
+def test_evaluate_rejects_a_fractional_batch_size():
+    ds = make_dataset(3, 1, (2, 8, 8), seed=1)
+    with pytest.raises(ConfigError, match="batch size"):
+        evaluate(ConstantModel(3), ds, batch_size=2.5)
+
+
 # -- training ----------------------------------------------------------------------
 
 
@@ -264,6 +270,29 @@ def test_training_needs_trainable_parameters():
     ds = make_dataset(3, 2, TINY.input_size, seed=9)
     with pytest.raises(ConfigError):
         train(model, ds, OptimizerConfig(steps=1, batch_size=1), seed=9)
+
+
+def test_training_rejects_a_negative_seed():
+    model = _head_only_model(seed=9)
+    ds = make_dataset(3, 1, TINY.input_size, seed=9)
+    with pytest.raises(ConfigError, match="seed"):
+        train(model, ds, OptimizerConfig(steps=1, batch_size=1), seed=-1)
+
+
+def test_no_gradient_is_held_when_a_training_forward_starts(monkeypatch):
+    # each step clears the last step's gradients before its forward, not after it
+    model = _head_only_model(seed=9)
+    ds = make_dataset(3, 2, TINY.input_size, seed=9)
+    trainable = model.registry.trainable()
+    held = []
+
+    def batch_loss(*args):
+        held.append([p.path for p in trainable if p.tensor.grad is not None])
+        return _batch_loss(*args)
+
+    monkeypatch.setattr(harness, "_batch_loss", batch_loss)
+    train(model, ds, OptimizerConfig(steps=3, batch_size=2), seed=9)
+    assert held == [[], [], []]
 
 
 class OverflowProbe:
@@ -742,6 +771,11 @@ MULTI_GROUP = ModelConfig(input_size=(4, 32, 32), embed_dims=(4, 4, 8, 8),
 # every trainable weight after 3 Adam steps, computed with one forward per
 # batch. The per-clip graph summed the batch's gradients in another order;
 # its losses and weights differ from these by at most 2.2e-16 and 7.6e-16.
+# The multi_group training digests were computed with kernels that allocated
+# every temporary, before softmax, layer norm, the GELU gradient and Adam
+# wrote into buffers they own; with several window groups they cover the
+# gradient of rows shared by all windows (prefix, prompt), summed group by
+# group.
 PINNED = {
     ("micro", "bapat"): (
         "748b609a5e1e5c365e6e5ca3c37de8cfd01faad1e59bcc1c0a30e798d38dd033",
@@ -749,12 +783,12 @@ PINNED = {
     ("micro", "all_four"): (
         "6276780b1266b4254c9b10dae653cdf8bde52637ff9d25d6d339532922e3157f",
         "391c9def0d4bdc6b219e0bc8177b802aece34ebe79121b03c5089c14ad63be39"),
-    # Forward only: with several groups, the gradient of rows shared by all
-    # windows (prefix, prompt) is summed group by group, a different order.
     ("multi_group", "bapat"): (
-        "fb9cb4561247f90e39cc56575c73c8b031aee2ef2ab99dc22033ab3f3d1efa07", None),
+        "fb9cb4561247f90e39cc56575c73c8b031aee2ef2ab99dc22033ab3f3d1efa07",
+        "45b479859ff83e10a2192714f726681207b6933ef831d631b3ce97c8775037fc"),
     ("multi_group", "all_four"): (
-        "7c3d4aad93988fa4fe5ba08fc9a435ea7a6ae291936b4a4cb77461bd84a10cd2", None),
+        "7c3d4aad93988fa4fe5ba08fc9a435ea7a6ae291936b4a4cb77461bd84a10cd2",
+        "68ec2384b45e4c58c2c4a1c538e2051a1752de74c0b51518a32ea16c249b3566"),
 }
 
 

@@ -151,6 +151,27 @@ def test_softmax_rows_sum_to_one(rng):
         assert (out >= 0).all()
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_softmax_kernels_write_only_the_buffers_they_are_given(axis, rng):
+    x, g = rng.normal(scale=3.0, size=(2, 3, 5)), rng.normal(size=(2, 3, 5))
+    x_bytes, g_bytes = x.tobytes(), g.tobytes()
+    y = T._softmax(x, axis)
+    y_bytes = y.tobytes()
+    gx = T._softmax_backward(g, y, axis)
+    assert (x.tobytes(), g.tobytes(), y.tobytes()) == (x_bytes, g_bytes, y_bytes)
+
+    # separate buffers, then the inputs themselves as the buffers
+    out = np.empty_like(x)
+    assert T._softmax(x, axis, out=out) is out and out.tobytes() == y_bytes
+    out, scratch = np.empty_like(g), np.empty_like(g)
+    assert T._softmax_backward(g, y, axis, out=out, scratch=scratch) is out
+    assert out.tobytes() == gx.tobytes()
+    assert (x.tobytes(), g.tobytes(), y.tobytes()) == (x_bytes, g_bytes, y_bytes)
+    assert T._softmax(x, axis, out=x) is x and x.tobytes() == y_bytes
+    assert T._softmax_backward(g, y, axis, out=g, scratch=y) is g
+    assert g.tobytes() == gx.tobytes()
+
+
 # -- layer norm ---------------------------------------------------------------
 
 
@@ -645,6 +666,19 @@ def test_attention_with_shared_rows_equals_op_by_op_bitwise(r, rng):
               rng.normal(size=(r, d)), rng.normal(size=(r, d))]
     ops = [lambda q, k, v, bias, extra_k, extra_v, op=op: op(q, k, v, bias, heads,
                                                              extra_k, extra_v)
+           for op in (T.attention, attention_op_by_op)]
+    assert_fused_equals_op_by_op_bitwise(*ops, arrays)
+
+
+def test_attention_bias_gradient_survives_the_in_place_scale(rng):
+    # one head, no clip axis, no shared rows: the bias gradient is then a
+    # C-contiguous view of the logits gradient, which attention scales in place
+    # afterwards; a gathered bias is an op output, whose node borrows that view
+    n, m, d = 3, 4, 4
+    index = rng.integers(0, 5, size=(n, m))
+    arrays = [rng.normal(size=(n, d)), rng.normal(size=(m, d)), rng.normal(size=(m, d)),
+              rng.normal(size=(5, 1))]
+    ops = [lambda q, k, v, table, op=op: op(q, k, v, T.gather_rows(table, index), 1)
            for op in (T.attention, attention_op_by_op)]
     assert_fused_equals_op_by_op_bitwise(*ops, arrays)
 
